@@ -23,7 +23,7 @@ final class PrecompUniformSynopsis(
       k.toLong * (root.bounds.dims + 1L) * 8L
 
   /** Moments of the uniform sample restricted to the gap `q \ cover`. */
-  private def gapMoments(q: Rect, cover: Seq[TreeNode]): SampleStats.Moments = {
+  private def gapMoments(q: Rect, cover: Seq[TreeNode]): Moments = {
     var i = 0; var kM = 0; var s1 = 0.0; var s2 = 0.0
     var mn = Double.PositiveInfinity; var mx = Double.NegativeInfinity
     while (i < sampleValues.length) {
@@ -36,58 +36,20 @@ final class PrecompUniformSynopsis(
       }
       i += 1
     }
-    SampleStats.Moments(sampleValues.length, kM, s1, s2, mn, mx)
+    Moments(sampleValues.length, kM, s1, s2, mn, mx)
   }
 
   def answer(q: Rect, agg: Agg): Estimate = {
     val f = PartitionTree.mcf(root, q)
-    val coverSum = f.cover.iterator.map(_.sum).sum
-    val coverCnt = f.cover.iterator.map(_.count).sum
-    val partialRows = f.partial.iterator.map(_.count).sum
-    val skipRate = if (totalRows == 0) 1.0 else 1.0 - partialRows.toDouble / totalRows
     val m = gapMoments(q, f.cover.toSeq)
-
-    def scaled(s1: Double, s2: Double): (Double, Double) = {
-      if (m.ki == 0) (0.0, 0.0)
-      else {
-        val mean   = s1 / m.ki
-        val varPhi = math.max(0.0, s2 / m.ki - mean * mean)
-        val est    = totalRows.toDouble / m.ki * s1
-        val se2 = SampleStats.fpc(totalRows, m.ki) *
-          totalRows.toDouble * totalRows * varPhi / m.ki
-        (est, se2)
-      }
-    }
-
     agg match {
-      case Agg.Sum =>
-        val (gapEst, se2) = scaled(m.s1, m.s2)
-        Estimate(coverSum + gapEst, lambda * math.sqrt(se2), processedSamples = m.ki.toLong.max(k))
-      case Agg.Count =>
-        val (gapEst, se2) = scaled(m.kMatch.toDouble, m.kMatch.toDouble)
-        Estimate(coverCnt + gapEst, lambda * math.sqrt(se2), processedSamples = k)
-      case Agg.Avg =>
-        val gapCnt = if (m.ki == 0) 0.0 else totalRows.toDouble * m.kMatch / m.ki
-        val estCnt = coverCnt + gapCnt
-        if (estCnt == 0) Estimate(Double.NaN, Double.NaN, processedSamples = k)
-        else {
-          val gapMean = if (m.kMatch == 0) 0.0 else m.s1 / m.kMatch
-          val value   = (coverSum + gapCnt * gapMean) / estCnt
-          val varM =
-            if (m.kMatch == 0) 0.0
-            else math.max(0.0, m.s2 / m.kMatch - gapMean * gapMean)
-          val w   = gapCnt / estCnt
-          val se2 = if (m.kMatch == 0) 0.0 else w * w * varM / m.kMatch
-          Estimate(value, lambda * math.sqrt(se2), processedSamples = k)
-        }
-      case Agg.Min =>
-        val cm  = f.cover.iterator.map(_.min).foldLeft(Double.PositiveInfinity)(math.min)
-        val est = if (m.kMatch > 0) math.min(cm, m.mn) else cm
-        Estimate(est, Double.NaN, processedSamples = k)
-      case Agg.Max =>
-        val cm  = f.cover.iterator.map(_.max).foldLeft(Double.NegativeInfinity)(math.max)
-        val est = if (m.kMatch > 0) math.max(cm, m.mx) else cm
-        Estimate(est, Double.NaN, processedSamples = k)
+      case Agg.Min => Estimate(f.cover.iterator.map(_.min).foldLeft(m.min)(math.min), Double.NaN, processedSamples = k)
+      case Agg.Max => Estimate(f.cover.iterator.map(_.max).foldLeft(m.max)(math.max), Double.NaN, processedSamples = k)
+      case _ =>
+        // exact cover + one stratum, the whole table, sampled only in the gap
+        val est = new Stratified(agg, f.cover.iterator.map(_.sum).sum, f.cover.iterator.map(_.count).sum)
+        est.add(totalRows, m)
+        est.estimate(lambda)
     }
   }
 }
@@ -164,14 +126,11 @@ object AqpPlusPlus {
             seed: Long = 42): (PrecompUniformSynopsis, Long) = {
     require(predCols.length == 1, "AQP++ baseline here is 1-D; use buildKdUs for d>1")
     val t0 = System.nanoTime()
-    val p  = PassBuilder.prepare(df, predCols, aggCol)
-    val sm = PassBuilder.optSample(p, optSampleSize, seed)
-    val s  = SortedSample1D(sm.map(_.getDouble(0)), sm.map(_.getDouble(1)))
-    val cuts = hillClimbCuts(s, partitions, seed = seed)
     val r = PassBuilder.build(df, predCols, aggCol,
-      PassBuilder.Cuts1D(cuts), PassBuilder.PerLeaf(0), optSampleSize, lambda, seed)
+      PassBuilder.Cuts1D(hillClimbCuts(_, partitions, seed = seed)), PassBuilder.PerLeaf(0),
+      optSampleSize, lambda, seed)
     val (us, _) = UniformSampling.build(df, predCols, aggCol, totalSamples.toInt, lambda, seed + 13)
-    val syn = new PrecompUniformSynopsis(r.synopsis.root, us.coords, us.values, p.totalRows, lambda)
+    val syn = new PrecompUniformSynopsis(r.synopsis.root, us.coords, us.values, r.synopsis.totalRows, lambda)
     (syn, (System.nanoTime() - t0) / 1000000L)
   }
 

@@ -17,46 +17,19 @@ final class StratifiedSampleSynopsis(private val pass: PassSynopsis) extends Ser
 
   def answer(q: Rect, agg: Agg): Estimate = {
     // every overlapping stratum is estimated from its sample (no exact parts)
-    val overlapping = pass.leaves.filter(l => !l.bounds.disjoint(q) && l.count > 0)
-    var processed = 0L
-    val strata = overlapping.map { l =>
+    val strata = pass.leaves.filter(l => !l.bounds.disjoint(q) && l.count > 0).map { l =>
       val s = pass.samples(l.leafId)
-      processed += s.size
-      (l, SampleStats.moments(s.coords, s.values, q))
+      (l.count, Moments.scan(s.coords, s.values, q))
     }
     agg match {
-      case Agg.Sum | Agg.Count =>
-        var est = 0.0; var variance = 0.0
-        for ((l, m) <- strata if m.ki > 0) {
-          val s1   = if (agg == Agg.Count) m.kMatch.toDouble else m.s1
-          val s2   = if (agg == Agg.Count) m.kMatch.toDouble else m.s2
-          val mean = s1 / m.ki
-          val varPhi = math.max(0.0, s2 / m.ki - mean * mean)
-          est += l.count.toDouble / m.ki * s1
-          variance += SampleStats.fpc(l.count, m.ki) * l.count.toDouble * l.count * varPhi / m.ki
-        }
-        Estimate(est, lambda * math.sqrt(variance), processedSamples = processed)
-      case Agg.Avg =>
-        var estSum = 0.0; var estCnt = 0.0
-        val terms = scala.collection.mutable.ArrayBuffer.empty[(Double, Double, Int)]
-        for ((l, m) <- strata if m.ki > 0 && m.kMatch > 0) {
-          val cHat = l.count.toDouble * m.kMatch / m.ki
-          val mean = m.s1 / m.kMatch
-          val varM = math.max(0.0, m.s2 / m.kMatch - mean * mean)
-          estSum += cHat * mean; estCnt += cHat
-          terms += ((cHat, varM, m.kMatch))
-        }
-        val value = if (estCnt == 0) Double.NaN else estSum / estCnt
-        val se2 = terms.iterator.map { case (cHat, varM, kM) =>
-          val w = cHat / estCnt; w * w * varM / kM
-        }.sum
-        Estimate(value, lambda * math.sqrt(se2), processedSamples = processed)
-      case Agg.Min =>
-        val mins = strata.collect { case (_, m) if m.kMatch > 0 => m.mn }
-        Estimate(if (mins.isEmpty) Double.NaN else mins.min, Double.NaN, processedSamples = processed)
-      case Agg.Max =>
-        val maxs = strata.collect { case (_, m) if m.kMatch > 0 => m.mx }
-        Estimate(if (maxs.isEmpty) Double.NaN else maxs.max, Double.NaN, processedSamples = processed)
+      case Agg.Min | Agg.Max =>
+        val m = strata.foldLeft(Moments.empty)(_ + _._2)
+        val v = if (m.kMatch == 0) Double.NaN else if (agg == Agg.Min) m.min else m.max
+        Estimate(v, Double.NaN, processedSamples = m.ki)
+      case _ =>
+        val est = new Stratified(agg)
+        for ((ni, m) <- strata) est.add(ni, m)
+        est.estimate(lambda)
     }
   }
 }

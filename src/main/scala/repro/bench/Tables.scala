@@ -210,9 +210,11 @@ object Tables {
       Table2Row(name, lat, stor, cost, re)
     }
 
+    // VerdictDB-lite: a scramble of ratio r is US at K = ⌈r·N⌉
     def verdictRow(name: String, ratio: Double): Table2Row = {
       val (lat, stor, cost, re) = evalAll { b =>
-        val (syn, ms) = VerdictLite.build(b.df, b.predCols, b.aggCol, ratio, lambda, seed)
+        val (syn, ms) = UniformSampling.build(b.df, b.predCols, b.aggCol,
+          math.ceil(ratio * b.n).toInt, lambda, seed)
         (q => syn.answer(q, Agg.Sum), syn.storageBytes / 1048576.0, ms / 1000.0)
       }
       Table2Row(name, lat, stor, cost, re)

@@ -28,8 +28,8 @@ object PassBuilder {
   final case class Adp1D(k: Int, agg: Agg = Agg.Sum, deltaM: Int = 0) extends Partitioner
   /** Equal-depth strata (the EQ baseline; optimal for COUNT). */
   final case class EqualDepth1D(k: Int) extends Partitioner
-  /** Externally supplied interior cut points (e.g. AQP++ hill climbing). */
-  final case class Cuts1D(cuts: Array[Double]) extends Partitioner
+  /** Interior cuts chosen from the optimization sample (e.g. AQP++ hill climbing). */
+  final case class Cuts1D(choose: SortedSample1D => Array[Double]) extends Partitioner
   /** KD-PASS greedy max-variance expansion for d > 1. */
   final case class KdGreedy(k: Int, agg: Agg = Agg.Sum, maxDepthSkew: Int = 2) extends Partitioner
   /** Balanced kd expansion (the KD-US baseline's partitioning). */
@@ -131,7 +131,7 @@ object PassBuilder {
         val part = p1 match {
           case Adp1D(k, agg, dm)  => Dp1D.adp(s, k, agg, dm)
           case EqualDepth1D(k)    => Dp1D.equalDepth(s, k)
-          case Cuts1D(cuts)       => Dp1D.Partitioning1D(Array.empty, cuts, Double.NaN)
+          case Cuts1D(choose)     => Dp1D.Partitioning1D(Array.empty, choose(s), Double.NaN)
           case other              => throw new IllegalArgumentException(s"$other is not 1-D")
         }
         val rects  = leafRects1D(part.cuts, p.dataRect)

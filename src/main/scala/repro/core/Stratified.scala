@@ -1,0 +1,116 @@
+package repro.core
+
+/** One sample restricted to a query predicate: the sample size `ki`, and the
+  * count, sum, sum of squares and extrema of the aggregate values of the
+  * sampled tuples inside the predicate (`min`/`max` are ±Infinity when none is).
+  */
+final case class Moments(ki: Int, kMatch: Int, sum: Double, sumSq: Double, min: Double, max: Double) {
+  /** The moments of the union of two disjoint samples. */
+  def +(o: Moments): Moments =
+    Moments(ki + o.ki, kMatch + o.kMatch, sum + o.sum, sumSq + o.sumSq,
+            math.min(min, o.min), math.max(max, o.max))
+}
+
+object Moments {
+  /** The moments of an empty sample. */
+  val empty: Moments = Moments(0, 0, 0.0, 0.0, Double.PositiveInfinity, Double.NegativeInfinity)
+
+  /** The predicate scan: one pass over a sample's tuples (`coords(i)`, `values(i)`). */
+  def scan(coords: Array[Array[Double]], values: Array[Double], q: Rect): Moments = {
+    var i  = 0
+    var k  = 0
+    var s1 = 0.0
+    var s2 = 0.0
+    var mn = Double.PositiveInfinity
+    var mx = Double.NegativeInfinity
+    while (i < values.length) {
+      if (q.contains(coords(i))) {
+        val a = values(i)
+        k += 1; s1 += a; s2 += a * a
+        if (a < mn) mn = a
+        if (a > mx) mx = a
+      }
+      i += 1
+    }
+    Moments(values.length, k, s1, s2, mn, mx)
+  }
+}
+
+/** The estimator behind every sampling synopsis (Sec 2.1, 2.2, 3.3): exact
+  * totals of the covered nodes plus strata, each of N_i tuples with the
+  * [[Moments]] of its uniform sample. SUM/COUNT add the strata's
+  * Horvitz–Thompson estimates (N_i/K_i)·Σ_match φ, φ = a or 1, and their
+  * FPC-corrected variances; AVG is the ratio of the estimated SUM to COUNT.
+  * US is one stratum of N tuples; ST is one per overlapping leaf, with no
+  * cover; AQP++/KD-US are the cover plus one stratum for the gap.
+  */
+final class Stratified(agg: Agg, coverSum: Double = 0.0, coverCount: Long = 0L) {
+  // SUM/COUNT: Σ of the strata estimates. AVG: the estimated SUM, cover included.
+  private var est  = if (agg == Agg.Avg) coverSum else 0.0
+  private var cnt  = coverCount.toDouble // AVG: the estimated COUNT Ĉ
+  private var vsum = 0.0 // SUM/COUNT: Σ of the strata variances. AVG: Σ Ĉ_i²·var_i/k_i.
+
+  /** Sampled tuples scanned by the strata added so far. */
+  var processed = 0L
+
+  /** Adds a stratum of `ni` tuples whose sample has moments `m`. */
+  def add(ni: Long, m: Moments): Unit = {
+    processed += m.ki
+    if (agg == Agg.Avg) addRatio(ni, m) else addTotal(ni, m)
+  }
+
+  // Two halves, not one body: HotSpot inlines methods below 325 bytecode
+  // bytes, and an inlined `add` keeps the caller's Moments off the heap.
+  private def addTotal(ni: Long, m: Moments): Unit = if (m.ki > 0) {
+    val s1     = if (agg == Agg.Count) m.kMatch.toDouble else m.sum
+    val s2     = if (agg == Agg.Count) m.kMatch.toDouble else m.sumSq
+    val mean   = s1 / m.ki
+    val varPhi = math.max(0.0, s2 / m.ki - mean * mean)
+    est += ni.toDouble / m.ki * s1
+    vsum += Stratified.fpc(ni, m.ki) * ni.toDouble * ni * varPhi / m.ki
+  }
+
+  private def addRatio(ni: Long, m: Moments): Unit = if (m.ki > 0 && m.kMatch > 0) {
+    val cHat = ni.toDouble * m.kMatch / m.ki
+    val mean = m.sum / m.kMatch
+    val varM = math.max(0.0, m.sumSq / m.kMatch - mean * mean)
+    est += cHat * mean
+    cnt += cHat
+    vsum += cHat * cHat * varM / m.kMatch
+  }
+
+  /** Adds an AVG stratum of `ni` tuples whose values all equal `a` (a 0-variance
+    * node, Sec 3.4): only its matching count is estimated, from `m`.
+    */
+  def addConstant(ni: Long, m: Moments, a: Double): Unit = {
+    processed += m.ki
+    if (m.ki > 0 && m.kMatch > 0) {
+      val cHat = ni.toDouble * m.kMatch / m.ki
+      est += cHat * a
+      cnt += cHat
+    }
+  }
+
+  /** The point estimate; an AVG whose estimated count is 0 is NaN. */
+  def value: Double = agg match {
+    case Agg.Avg   => if (cnt == 0) Double.NaN else est / cnt
+    case Agg.Count => coverCount + est
+    case _         => coverSum + est
+  }
+
+  /** The CLT half-width λ·se; NaN where `value` is. */
+  def ciHalf(lambda: Double): Double = agg match {
+    case Agg.Avg => if (cnt == 0) Double.NaN else lambda * math.sqrt(vsum / (cnt * cnt))
+    case _       => lambda * math.sqrt(vsum)
+  }
+
+  /** The estimate of a synopsis without hard bounds. */
+  def estimate(lambda: Double): Estimate =
+    Estimate(value, ciHalf(lambda), processedSamples = processed)
+}
+
+object Stratified {
+  /** Finite-population correction (N−K)/(N−1) (paper footnote 1). */
+  def fpc(n: Long, k: Int): Double =
+    if (n <= 1) 0.0 else math.max(0.0, (n - k).toDouble / (n - 1).toDouble)
+}

@@ -40,50 +40,12 @@ final class PassSynopsis(
     root.preorder.size.toLong * (2L * d + 4L) * 8L + storedSamples * (d + 1L) * 8L
   }
 
-  /** Per-stratum accumulator over one leaf sample restricted to the query. */
-  private final case class Moments(
-      ki: Int, kMatch: Int, sumMatch: Double, sumSqMatch: Double,
-      minMatch: Double, maxMatch: Double)
+  private def moments(leafId: Int, q: Rect): Moments =
+    Moments.scan(samples(leafId).coords, samples(leafId).values, q)
 
-  private def moments(leafId: Int, q: Rect): Moments = {
-    val s   = samples(leafId)
-    var i   = 0
-    var k   = 0
-    var s1  = 0.0
-    var s2  = 0.0
-    var mn  = Double.PositiveInfinity
-    var mx  = Double.NegativeInfinity
-    while (i < s.size) {
-      if (q.contains(s.coords(i))) {
-        val a = s.values(i)
-        k += 1; s1 += a; s2 += a * a
-        if (a < mn) mn = a
-        if (a > mx) mx = a
-      }
-      i += 1
-    }
-    Moments(s.size, k, s1, s2, mn, mx)
-  }
-
-  /** Pooled moments over the descendant leaves of a (possibly internal) node —
-    * used for 0-variance nodes, whose own sample lives at the leaves below.
-    */
-  private def pooledMoments(node: TreeNode, q: Rect): Moments = {
-    var id = node.leafLo
-    var ki = 0; var k = 0; var s1 = 0.0; var s2 = 0.0
-    var mn = Double.PositiveInfinity; var mx = Double.NegativeInfinity
-    while (id <= node.leafHi) {
-      val m = moments(id, q)
-      ki += m.ki; k += m.kMatch; s1 += m.sumMatch; s2 += m.sumSqMatch
-      mn = math.min(mn, m.minMatch); mx = math.max(mx, m.maxMatch)
-      id += 1
-    }
-    Moments(ki, k, s1, s2, mn, mx)
-  }
-
-  /** Finite-population correction (footnote 1). */
-  private def fpc(ni: Long, ki: Int): Double =
-    if (ni <= 1) 0.0 else math.max(0.0, (ni - ki).toDouble / (ni - 1).toDouble)
+  /** Moments of the union of the given leaves' samples. */
+  private def pooledMoments(leafIds: Iterable[Int], q: Rect): Moments =
+    leafIds.foldLeft(Moments.empty)((m, id) => m + moments(id, q))
 
   /** Answers one aggregate query. See `Estimate` for field semantics. */
   def answer(q: Rect, agg: Agg): Estimate = {
@@ -93,76 +55,44 @@ final class PassSynopsis(
     val partialRows = f.partial.iterator.map(_.count).sum +
       f.zeroVar.iterator.map(_.count).sum
     val skipRate = if (totalRows == 0) 1.0 else 1.0 - partialRows.toDouble / totalRows
-    var processed = 0L
 
-    // Per-partial-leaf estimated contribution and estimator variance for the
-    // SUM estimator `(N_i/K_i)·Σ_match a` (COUNT is SUM over a = 1).
-    def sumLike(count: Boolean): (Double, Double) = {
-      var est = 0.0; var variance = 0.0
-      for (leafNode <- f.partial) {
-        val m = moments(leafNode.leafId, q)
-        processed += m.ki
-        if (m.ki > 0) {
-          val ni   = leafNode.count
-          val s1   = if (count) m.kMatch.toDouble else m.sumMatch
-          val s2   = if (count) m.kMatch.toDouble else m.sumSqMatch
-          val mean = s1 / m.ki
-          val varPhi = math.max(0.0, s2 / m.ki - mean * mean)
-          est += ni.toDouble / m.ki * s1
-          variance += fpc(ni, m.ki) * ni.toDouble * ni * varPhi / m.ki
-        }
+    // exact cover + one stratum per partial leaf / 0-variance node; `while`, as a
+    // closure capturing `est` would heap-allocate it and every leaf's Moments
+    def estimator(): Stratified = {
+      val est = new Stratified(agg, coverSum, coverCnt)
+      var i = 0
+      while (i < f.partial.length) {
+        val l = f.partial(i)
+        est.add(l.count, moments(l.leafId, q))
+        i += 1
       }
-      (est, variance)
+      i = 0
+      while (i < f.zeroVar.length) { // a 0-variance node's sample lives at the leaves below it
+        val z = f.zeroVar(i)
+        est.addConstant(z.count, pooledMoments(z.leafLo to z.leafHi, q), z.min)
+        i += 1
+      }
+      est
     }
 
     agg match {
       case Agg.Sum =>
-        val (est, variance) = sumLike(count = false)
-        val value = coverSum + est
+        val est = estimator()
         // hard bounds (Sec 2.3), generalized for possibly-negative values
         var lb = coverSum; var ub = coverSum
         for (n <- f.partial.iterator ++ f.zeroVar.iterator) {
           lb += (if (n.min >= 0) 0.0 else n.count * math.min(0.0, n.min))
           ub += (if (n.min >= 0) n.sum else n.count * math.max(0.0, n.max))
         }
-        Estimate(value, lambda * math.sqrt(variance), lb, ub, processed, skipRate)
+        Estimate(est.value, est.ciHalf(lambda), lb, ub, est.processed, skipRate)
 
       case Agg.Count =>
-        val (est, variance) = sumLike(count = true)
-        val value = coverCnt + est
-        val ub    = coverCnt.toDouble + f.partial.iterator.map(_.count).sum
-        Estimate(value, lambda * math.sqrt(variance), coverCnt.toDouble, ub, processed, skipRate)
+        val est = estimator()
+        val ub  = coverCnt.toDouble + f.partial.iterator.map(_.count).sum
+        Estimate(est.value, est.ciHalf(lambda), coverCnt.toDouble, ub, est.processed, skipRate)
 
       case Agg.Avg =>
-        // ratio estimator: exact covered parts + per-stratum sample estimates
-        var estSum = coverSum; var estCnt = coverCnt.toDouble
-        val strata = scala.collection.mutable.ArrayBuffer.empty[(Double, Double, Int)] // (Ĉ_i, varMatch, kMatch)
-        for (leafNode <- f.partial) {
-          val m = moments(leafNode.leafId, q)
-          processed += m.ki
-          if (m.ki > 0 && m.kMatch > 0) {
-            val cHat  = leafNode.count.toDouble * m.kMatch / m.ki
-            val meanM = m.sumMatch / m.kMatch
-            val varM  = math.max(0.0, m.sumSqMatch / m.kMatch - meanM * meanM)
-            estSum += cHat * meanM
-            estCnt += cHat
-            strata += ((cHat, varM, m.kMatch))
-          }
-        }
-        for (node <- f.zeroVar) { // Sec 3.4: value exactly known, variance 0
-          val m = pooledMoments(node, q)
-          processed += m.ki
-          if (m.ki > 0 && m.kMatch > 0) {
-            val cHat = node.count.toDouble * m.kMatch / m.ki
-            estSum += cHat * node.min
-            estCnt += cHat
-          }
-        }
-        val value = if (estCnt == 0) Double.NaN else estSum / estCnt
-        val se2 = strata.iterator.map { case (cHat, varM, kM) =>
-          val w = cHat / estCnt
-          w * w * varM / kM
-        }.sum
+        val est = estimator()
         // hard bounds (Sec 2.3)
         val coveredAvg =
           if (coverCnt > 0) coverSum / coverCnt else Double.NaN
@@ -175,30 +105,26 @@ final class PassSynopsis(
           if (partialExtrema.isEmpty) coveredAvg
           else if (coverCnt == 0) partialExtrema.map(_.max).max
           else math.max(coveredAvg, partialExtrema.map(_.max).max)
-        Estimate(value, lambda * math.sqrt(se2), lb, ub, processed, skipRate)
+        val value = est.value
+        if (value.isNaN && partialExtrema.nonEmpty) {
+          // nothing covered and no sampled tuple matched: answer the frontier's
+          // exact average, which lies in [lb, ub], with the bounds as the CI
+          val v = partialExtrema.map(_.sum).sum / partialExtrema.map(_.count).sum
+          Estimate(v, math.max(ub - v, v - lb), lb, ub, est.processed, skipRate)
+        } else Estimate(value, est.ciHalf(lambda), lb, ub, est.processed, skipRate)
 
       case Agg.Min =>
-        var est = f.cover.iterator.map(_.min).foldLeft(Double.PositiveInfinity)(math.min)
-        var lb  = est
-        for (leafNode <- f.partial) {
-          val m = moments(leafNode.leafId, q)
-          processed += m.ki
-          if (m.kMatch > 0) est = math.min(est, m.minMatch)
-          lb = math.min(lb, leafNode.min)
-        }
+        val coverMin = f.cover.iterator.map(_.min).foldLeft(Double.PositiveInfinity)(math.min)
+        val m        = pooledMoments(f.partial.map(_.leafId), q)
+        val est      = math.min(coverMin, m.min)
         // the observed minimum can only overestimate the true minimum
-        Estimate(est, Double.NaN, lb, est, processed, skipRate)
+        Estimate(est, Double.NaN, f.partial.iterator.map(_.min).foldLeft(coverMin)(math.min), est, m.ki, skipRate)
 
       case Agg.Max =>
-        var est = f.cover.iterator.map(_.max).foldLeft(Double.NegativeInfinity)(math.max)
-        var ub  = est
-        for (leafNode <- f.partial) {
-          val m = moments(leafNode.leafId, q)
-          processed += m.ki
-          if (m.kMatch > 0) est = math.max(est, m.maxMatch)
-          ub = math.max(ub, leafNode.max)
-        }
-        Estimate(est, Double.NaN, est, ub, processed, skipRate)
+        val coverMax = f.cover.iterator.map(_.max).foldLeft(Double.NegativeInfinity)(math.max)
+        val m        = pooledMoments(f.partial.map(_.leafId), q)
+        val est      = math.max(coverMax, m.max)
+        Estimate(est, Double.NaN, est, f.partial.iterator.map(_.max).foldLeft(coverMax)(math.max), m.ki, skipRate)
     }
   }
 }

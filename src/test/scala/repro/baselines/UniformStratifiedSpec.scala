@@ -5,8 +5,8 @@ import repro.core.{Agg, Rect}
 import repro.bench.GroundTruth
 import repro.data.Datasets
 
-/** US and ST baselines against driver-side ground truth on a small synthetic
-  * dataset built through the real Spark pipeline.
+/** US and ST baselines against driver-side ground truth on small synthetic
+  * datasets built through the real Spark pipeline.
   */
 class UniformStratifiedSpec extends SparkSpec {
 
@@ -64,6 +64,70 @@ class UniformStratifiedSpec extends SparkSpec {
         assert(syn.answer(q, Agg.Max).value <= tMax + 1e-9)
       }
     }
+  }
+
+  // ---- VerdictDB-lite (Table 2): US at K = ⌈r·N⌉ for scramble ratio r. The
+  // 100% sample must be (near-)exact; the 10% one trades accuracy for storage.
+
+  private lazy val insta   = Datasets.instacartLite(spark, sf = 0.01, seed = 2).persist()
+  private lazy val instaGt = GroundTruth.collect(insta, Seq("product_id"), "reordered")
+
+  private def scramble(ratio: Double, seed: Long): UniformSampleSynopsis =
+    UniformSampling.build(insta, Seq("product_id"), "reordered",
+      math.ceil(ratio * instaGt.n).toInt, seed = seed)._1
+
+  private def instaQueries(seed: Long, n: Int): Seq[Rect] = {
+    // stay in the populated head of the Zipf key space so a 10% sample has
+    // matching rows (the empty tail is the selective-query failure mode PASS
+    // addresses, tested elsewhere)
+    val rnd = new scala.util.Random(seed)
+    Seq.fill(n) {
+      val a = rnd.nextDouble() * 500
+      Rect.range(a, a + 1000 + rnd.nextDouble() * 8000)
+    }
+  }
+
+  test("US rejects a sample size below 1") {
+    intercept[IllegalArgumentException] { UniformSampling.build(insta, Seq("product_id"), "reordered", 0) }
+    intercept[IllegalArgumentException] { UniformSampling.build(insta, Seq("product_id"), "reordered", -1) }
+  }
+
+  for (agg <- Seq(Agg.Sum, Agg.Count, Agg.Avg)) {
+    test(s"US at K = N answers near-exactly ($agg)") {
+      val syn = scramble(1.0, seed = 3)
+      for (q <- instaQueries(1, 15)) {
+        val truth = instaGt.answer(q, agg)
+        if (!truth.isNaN && truth != 0) {
+          val est = syn.answer(q, agg)
+          assert(math.abs(est.value - truth) / math.abs(truth) < 1e-6,
+                 s"q=$q est=${est.value} truth=$truth")
+        }
+      }
+    }
+  }
+
+  test("US at 10% of N is noisier than at N but unbiased-ish") {
+    val s10  = scramble(0.10, seed = 5)
+    val s100 = scramble(1.0, seed = 5)
+    def medRe(syn: UniformSampleSynopsis): Double = {
+      val errs = instaQueries(2, 40).flatMap { q =>
+        val truth = instaGt.answer(q, Agg.Sum)
+        if (truth.isNaN || truth == 0) None
+        else Some(math.abs(syn.answer(q, Agg.Sum).value - truth) / math.abs(truth))
+      }.sorted
+      errs(errs.length / 2)
+    }
+    val e10 = medRe(s10); val e100 = medRe(s100)
+    assert(e100 < 1e-6)
+    assert(e10 > e100)
+    assert(e10 < 0.4, s"10% sample median RE $e10 unexpectedly large")
+  }
+
+  test("US storage scales with the sampled share of N") {
+    val s10  = scramble(0.10, seed = 7)
+    val s100 = scramble(1.0, seed = 7)
+    assert(s100.storageBytes > 5L * s10.storageBytes)
+    assert(math.abs(s100.k - instaGt.n) < instaGt.n * 0.01)
   }
 
   test("ST build creates the requested strata with roughly equal sample shares") {

@@ -130,6 +130,21 @@ class SynopsisSpec extends AnyFunSuite {
     }
   }
 
+  test("AVG with no cover and no matching sampled row answers the frontier's exact average") {
+    val (cs, as) = TestSynopses.genData(400, 3)
+    val syn = TestSynopses.build1D(cs, as, Array(25.0, 50.0, 75.0), samplesPerLeaf = 1, seed = 4)
+    val sampled = syn.samples.flatMap(_.coords.map(_(0)))
+    // a narrow query around a row of leaf [25, 50) that no sampled row is near
+    val c = cs.find(x => x > 30 && x < 45 && sampled.forall(s => math.abs(s - x) > 0.5)).get
+    val q = Rect.range(c - 0.1, c + 0.1)
+    val truth = exact(cs, as, q, Agg.Avg)
+    val est   = syn.answer(q, Agg.Avg)
+    assert(est.processedSamples == 1 && est.lb < est.ub)
+    assert(est.lb <= est.value && est.value <= est.ub, s"value ${est.value} outside [${est.lb}, ${est.ub}]")
+    assert(est.ciHalf == math.max(est.ub - est.value, est.value - est.lb))
+    assert(math.abs(est.value - truth) <= est.ciHalf, s"truth $truth outside ${est.value} ± ${est.ciHalf}")
+  }
+
   test("0-variance rule gives exact AVG value contribution with zero CI term") {
     // constant values everywhere: AVG must be exact whatever the predicate
     val n   = 500
