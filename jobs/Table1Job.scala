@@ -9,7 +9,7 @@ import repro.bench.Tables
   */
 object Table1Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("pass-table1")
+    val spark = SparkSession.builder().appName("pass-table1")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()

@@ -10,7 +10,7 @@ import repro.bench.Tables
   */
 object Table2Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("pass-table2")
+    val spark = SparkSession.builder().appName("pass-table2")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()

@@ -8,7 +8,7 @@ import repro.bench.Tables
   */
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("pass-table3")
+    val spark = SparkSession.builder().appName("pass-table3")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()

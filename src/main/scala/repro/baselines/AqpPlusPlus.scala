@@ -125,24 +125,28 @@ object AqpPlusPlus {
             totalSamples: Long, optSampleSize: Int = 4096, lambda: Double = 2.576,
             seed: Long = 42): (PrecompUniformSynopsis, Long) = {
     require(predCols.length == 1, "AQP++ baseline here is 1-D; use buildKdUs for d>1")
-    val t0 = System.nanoTime()
-    val r = PassBuilder.build(df, predCols, aggCol,
-      PassBuilder.Cuts1D(hillClimbCuts(_, partitions, seed = seed)), PassBuilder.PerLeaf(0),
-      optSampleSize, lambda, seed)
-    val (us, _) = UniformSampling.build(df, predCols, aggCol, totalSamples.toInt, lambda, seed + 13)
-    val syn = new PrecompUniformSynopsis(r.synopsis.root, us.coords, us.values, r.synopsis.totalRows, lambda)
-    (syn, (System.nanoTime() - t0) / 1000000L)
+    precompUniform(df, predCols, aggCol, PassBuilder.Cuts1D(hillClimbCuts(_, partitions, seed = seed)),
+      totalSamples, optSampleSize, lambda, seed)
   }
 
   /** Builds KD-US (Sec 5.4): balanced kd-tree aggregates + global uniform sample. */
   def buildKdUs(df: DataFrame, predCols: Seq[String], aggCol: String, leaves: Int,
                 totalSamples: Long, optSampleSize: Int = 4096, lambda: Double = 2.576,
-                seed: Long = 42): (PrecompUniformSynopsis, Long) = {
+                seed: Long = 42): (PrecompUniformSynopsis, Long) =
+    precompUniform(df, predCols, aggCol, PassBuilder.KdBalanced(leaves), totalSamples, optSampleSize, lambda, seed)
+
+  /** Aggregates-only PASS build plus a uniform sample drawn from the same
+    * prepared projection: four scans of the table.
+    */
+  private def precompUniform(df: DataFrame, predCols: Seq[String], aggCol: String,
+                             partitioner: PassBuilder.Partitioner, totalSamples: Long, optSampleSize: Int,
+                             lambda: Double, seed: Long): (PrecompUniformSynopsis, Long) = {
     val t0 = System.nanoTime()
-    val r = PassBuilder.build(df, predCols, aggCol,
-      PassBuilder.KdBalanced(leaves), PassBuilder.PerLeaf(0), optSampleSize, lambda, seed)
-    val (us, _) = UniformSampling.build(df, predCols, aggCol, totalSamples.toInt, lambda, seed + 13)
-    val syn = new PrecompUniformSynopsis(r.synopsis.root, us.coords, us.values, r.synopsis.totalRows, lambda)
+    val p  = PassBuilder.prepare(df, predCols, aggCol)
+    val (pass, _) = PassBuilder.buildPrepared(p, predCols, aggCol, partitioner, PassBuilder.PerLeaf(0),
+      optSampleSize, lambda, seed, zeroVarRule = true)
+    val us  = UniformSampling.draw(p, totalSamples.toInt, lambda, seed + 13)
+    val syn = new PrecompUniformSynopsis(pass.root, us.coords, us.values, p.totalRows, lambda)
     (syn, (System.nanoTime() - t0) / 1000000L)
   }
 }

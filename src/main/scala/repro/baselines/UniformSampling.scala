@@ -35,17 +35,18 @@ object UniformSampling {
   /** Draws K uniform samples with one Spark pass and collects them. */
   def build(df: DataFrame, predCols: Seq[String], aggCol: String, k: Int,
             lambda: Double = 2.576, seed: Long = 42): (UniformSampleSynopsis, Long) = {
+    val t0  = System.nanoTime()
+    val syn = draw(PassBuilder.prepare(df, predCols, aggCol), k, lambda, seed)
+    (syn, (System.nanoTime() - t0) / 1000000L)
+  }
+
+  /** The sampling pass of [[build]] over an already prepared projection. */
+  private[repro] def draw(p: PassBuilder.Prepared, k: Int, lambda: Double, seed: Long): UniformSampleSynopsis = {
     require(k >= 1, s"sample size $k must be at least 1")
-    val t0   = System.nanoTime()
-    val p    = PassBuilder.prepare(df, predCols, aggCol)
     val n    = p.totalRows
     val frac = if (n == 0) 0.0 else math.min(1.0, k.toDouble / n)
     val rows = p.projected.sample(withReplacement = false, frac, seed).collect()
-    val d    = predCols.length
-    val syn = new UniformSampleSynopsis(
-      rows.map(r => Array.tabulate(d)(r.getDouble)),
-      rows.map(_.getDouble(d)),
-      n, lambda)
-    (syn, (System.nanoTime() - t0) / 1000000L)
+    val d    = p.dataRect.dims
+    new UniformSampleSynopsis(rows.map(r => Array.tabulate(d)(r.getDouble)), rows.map(_.getDouble(d)), n, lambda)
   }
 }

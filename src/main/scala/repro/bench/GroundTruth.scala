@@ -19,15 +19,15 @@ final class GroundTruth(
   val n: Int    = values.length
 
   // 1-D fast path: row order sorted by the single predicate column
-  private val (sortedC, pre1, preCnt): (Array[Double], Array[Double], Array[Int]) =
-    if (dims != 1) (null, null, null)
+  private val (sortedC, pre1): (Array[Double], Array[Double]) =
+    if (dims != 1) (null, null)
     else {
       val idx = values.indices.toArray.sortBy(coords(0))
       val cs  = idx.map(coords(0))
       val p1  = new Array[Double](n + 1)
       var i   = 0
       while (i < n) { p1(i + 1) = p1(i) + values(idx(i)); i += 1 }
-      (cs, p1, null)
+      (cs, p1)
     }
 
   private def lowerBound(c: Double): Int = {

@@ -9,9 +9,7 @@ object Agg {
   case object Min   extends Agg
   case object Max   extends Agg
 
-  /** Aggregates benchmarked in the paper's tables (MIN/MAX only get hard bounds). */
-  val estimable: Seq[Agg] = Seq(Sum, Count, Avg)
-  val all: Seq[Agg]       = Seq(Sum, Count, Avg, Min, Max)
+  val all: Seq[Agg] = Seq(Sum, Count, Avg, Min, Max)
 }
 
 /** A half-open axis-aligned rectangle `lo(i) <= C_i < hi(i)` over the predicate
@@ -69,10 +67,6 @@ final case class Rect(lo: Array[Double], hi: Array[Double]) {
 object Rect {
   /** 1-D convenience constructor. */
   def range(lo: Double, hi: Double): Rect = Rect(Array(lo), Array(hi))
-
-  /** The all-of-space rectangle in `d` dimensions. */
-  def full(d: Int): Rect =
-    Rect(Array.fill(d)(Double.NegativeInfinity), Array.fill(d)(Double.PositiveInfinity))
 }
 
 /** Result of answering one aggregate query against a synopsis.

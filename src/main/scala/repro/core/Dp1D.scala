@@ -21,18 +21,12 @@ object Dp1D {
     * @param sampleBounds k+1 sample indices, `0 = b(0) <= ... <= b(k) = m`;
     *                     bucket j spans sample positions `[b(j), b(j+1))`
     * @param cuts         the k−1 interior predicate-value cut points; bucket j
-    *                     holds tuples with `cuts(j-1) <= c < cuts(j)` (outer
-    *                     buckets extend to ±∞)
+    *                     holds tuples with `cuts(j-1) <= c < cuts(j)` (the outer
+    *                     buckets are open-ended)
     * @param value        the optimized max single-partition variance
     */
   final case class Partitioning1D(sampleBounds: Array[Int], cuts: Array[Double], value: Double) {
     def k: Int = sampleBounds.length - 1
-
-    /** Leaf rectangles, in predicate order, with ±∞ outer edges. */
-    def leafRects: Array[Rect] = {
-      val edges = Double.NegativeInfinity +: cuts :+ Double.PositiveInfinity
-      Array.tabulate(k)(j => Rect.range(edges(j), edges(j + 1)))
-    }
   }
 
   private def toPartitioning(s: SortedSample1D, bounds: Array[Int], value: Double): Partitioning1D =

@@ -9,58 +9,19 @@ import scala.collection.mutable.ArrayBuffer
   * (approximate) maximum-variance query, keeping leaf depths within a skew of
   * 2 as in the paper's experiments; KD-US (the baseline) always expands the
   * shallowest leaf. Construction runs on the driver over the optimization
-  * sample; the resulting tree doubles as the leaf-assignment function that the
-  * Spark build broadcasts.
+  * sample and returns a partition-tree skeleton: children in mask order (bit j
+  * = `x(j) >= median j`, as `PartitionTree.leafOf` routes), leaves numbered in
+  * DFS order, no statistics yet.
   */
 object KdTree {
 
-  /** One node of the driver-side kd skeleton. `splits` holds the per-dimension
-    * median used to route points to the 2^d children (bit j of the child index
-    * = `x(j) >= splits(j)`); leaves have `splits == null`.
+  /** A construction node over the optimization sample; [[finish]] turns the
+    * finished tree into the `TreeNode` skeleton.
     */
-  final class KdNode(val rect: Rect, val depth: Int) extends Serializable {
-    var splits: Array[Double]   = _
+  private final class KdNode(val rect: Rect, val depth: Int) {
     var children: Array[KdNode] = _
-    var leafId: Int             = -1
-    // construction-only fields (not needed after build; kept for tests)
-    @transient var points: Array[Int] = _
-    @transient var score: Double      = 0.0
-    def isLeaf: Boolean = children == null
-  }
-
-  /** A built kd skeleton: root plus leaves in DFS order (so every subtree owns
-    * a contiguous leaf-id range, as the 0-variance rule requires).
-    */
-  final class Built(val root: KdNode, val leaves: Array[KdNode]) extends Serializable {
-    /** Routes a predicate point to its leaf id. Serializable: broadcast into
-      * the Spark leaf-assignment UDF.
-      */
-    def assign(x: Array[Double]): Int = {
-      var node = root
-      while (!node.isLeaf) {
-        var mask = 0
-        var j    = 0
-        while (j < node.splits.length) {
-          if (x(j) >= node.splits(j)) mask |= (1 << j)
-          j += 1
-        }
-        node = node.children(mask)
-      }
-      node.leafId
-    }
-
-    /** Converts the skeleton into an (unpopulated) aggregate TreeNode tree. */
-    def toTreeNodes: (TreeNode, Array[TreeNode]) = {
-      val leavesOut = new Array[TreeNode](leaves.length)
-      def rec(n: KdNode): TreeNode =
-        if (n.isLeaf) {
-          val t = PartitionTree.leaf(n.rect, n.leafId)
-          leavesOut(n.leafId) = t
-          t
-        } else new TreeNode(n.rect, n.children.map(rec), -1)
-      val rootOut = rec(root)
-      (rootOut, leavesOut)
-    }
+    var points: Array[Int]      = _
+    var score: Double           = 0.0
   }
 
   /** Approximate max-variance score of a leaf's point set, used to pick the
@@ -134,7 +95,6 @@ object KdTree {
       c.score = leafScore(pts, vals, c.points, agg, node.depth % d, deltaM)
       c
     }
-    node.splits = splits
     node.children = children
     node.points = null
     children
@@ -152,13 +112,15 @@ object KdTree {
       }
     }
 
-  private def finish(root: KdNode): Built = {
-    val leaves = ArrayBuffer.empty[KdNode]
-    def number(n: KdNode): Unit =
-      if (n.isLeaf) { n.leafId = leaves.length; leaves += n }
-      else n.children.foreach(number)
-    number(root)
-    new Built(root, leaves.toArray)
+  /** Converts the construction tree into a skeleton with DFS leaf ids, so
+    * every subtree owns a contiguous leaf-id range (the 0-variance rule's need).
+    */
+  private def finish(root: KdNode): TreeNode = {
+    var nextId = 0
+    def rec(n: KdNode): TreeNode =
+      if (n.children == null) { nextId += 1; PartitionTree.leaf(n.rect, nextId - 1) }
+      else new TreeNode(n.rect, n.children.map(rec), -1)
+    rec(root)
   }
 
   /** KD-PASS: greedy expansion of the max-approximate-variance leaf until `k`
@@ -166,7 +128,7 @@ object KdTree {
     * still-splittable leaf (the paper limits the skew to 2).
     */
   def buildGreedy(pts: Array[Array[Double]], vals: Array[Double], k: Int, agg: Agg,
-                  rootRect: Rect, maxDepthSkew: Int = 2, deltaM0: Int = 0): Built = {
+                  rootRect: Rect, maxDepthSkew: Int = 2, deltaM0: Int = 0): TreeNode = {
     require(pts.nonEmpty, "no optimization sample")
     val d      = rootRect.dims
     val fanout = 1 << d
@@ -191,7 +153,7 @@ object KdTree {
     * broken by insertion order), yielding a balanced tree of `<= k` leaves.
     */
   def buildBalanced(pts: Array[Array[Double]], vals: Array[Double], k: Int,
-                    rootRect: Rect): Built = {
+                    rootRect: Rect): TreeNode = {
     require(pts.nonEmpty, "no optimization sample")
     val fanout = 1 << rootRect.dims
     val root   = new KdNode(rootRect, 0)

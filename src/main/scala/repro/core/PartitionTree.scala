@@ -22,8 +22,6 @@ final class TreeNode(
   var leafLo: Int = leafId
   var leafHi: Int = leafId
 
-  def avg: Double = if (count == 0) Double.NaN else sum / count
-
   /** All nodes in preorder. */
   def preorder: Iterator[TreeNode] =
     Iterator.single(this) ++ children.iterator.flatMap(_.preorder)
@@ -35,26 +33,47 @@ object PartitionTree {
 
   def leaf(bounds: Rect, id: Int): TreeNode = new TreeNode(bounds, Array.empty, id)
 
-  /** Builds a balanced binary tree bottom-up over 1-D leaves that are adjacent
-    * in predicate order (Sec 4.1: "construct the full tree with a bottom-up
-    * aggregation" — the tree shape only affects lookup cost, not accuracy).
-    * Leaf statistics must already be populated; internal stats are rolled up.
+  /** The 1-D skeleton over interior `cuts` (sorted, duplicates allowed): leaf
+    * `j` spans `[edge j, edge j+1)` of `box.lo +: cuts :+ box.hi`, so the outer
+    * leaves are clamped to the data box. The leaves sit under a balanced binary
+    * tree (Sec 4.1: "construct the full tree with a bottom-up aggregation" — the
+    * shape only affects lookup cost, not accuracy); statistics are filled in
+    * later and rolled up with [[rollUpTree]].
     */
-  def build1D(leaves: Array[TreeNode]): TreeNode = {
-    require(leaves.nonEmpty, "no leaves")
+  def build1D(cuts: Array[Double], box: Rect): TreeNode = {
+    val edges = box.lo(0) +: cuts :+ box.hi(0)
     def rec(lo: Int, hi: Int): TreeNode = {
-      if (hi - lo == 1) leaves(lo)
+      val rect = Rect.range(edges(lo), edges(hi))
+      if (hi - lo == 1) leaf(rect, lo)
       else {
-        val mid   = (lo + hi) / 2
-        val l     = rec(lo, mid)
-        val r     = rec(mid, hi)
-        val rect  = Rect(l.bounds.lo.clone(), r.bounds.hi.clone())
-        val node  = new TreeNode(rect, Array(l, r), -1)
-        rollUpStats(node)
-        node
+        val mid = (lo + hi) / 2
+        new TreeNode(rect, Array(rec(lo, mid), rec(mid, hi)), -1)
       }
     }
-    rec(0, leaves.length)
+    rec(0, edges.length - 1)
+  }
+
+  /** Routes a point to the id of its leaf without allocating. Every internal
+    * node splits its box at one point per dimension into `2^d` children, bit
+    * `j` of the child index meaning "upper side in dimension j" (the 1-D
+    * binary tree is the `d = 1` case), so child `2^j`'s lower edge in `j` is
+    * the split. A point inside the root box reaches the leaf whose box contains
+    * it; a point on a split goes to the upper side; a point outside the box, or
+    * NaN, goes to a boundary leaf.
+    */
+  def leafOf(root: TreeNode, x: Array[Double]): Int = {
+    var node = root
+    while (!node.isLeaf) {
+      val cs    = node.children
+      var child = 0
+      var j     = 0
+      while ((1 << j) < cs.length) {
+        if (x(j) >= cs(1 << j).bounds.lo(j)) child |= 1 << j
+        j += 1
+      }
+      node = cs(child)
+    }
+    node.leafId
   }
 
   /** Recomputes a node's aggregate statistics and leaf-id span from its

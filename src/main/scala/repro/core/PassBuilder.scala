@@ -15,10 +15,11 @@ import scala.collection.mutable
   *  3. one `groupBy(leafId).agg(sum,count,min,max)` shuffle for the exact
   *     partition aggregates,
   *  4. one `stat.sampleBy(leafId, fractions)` pass for the per-leaf stratified
-  *     samples.
+  *     samples (skipped when no leaf gets a sample).
   *
-  * The leaf-id assignment is a deterministic UDF over the predicate columns
-  * (broadcast cut table / kd skeleton).
+  * Every partitioner returns a partition-tree skeleton. A row's leaf id is a
+  * deterministic UDF over the predicate columns that routes the row down that
+  * tree (`PartitionTree.leafOf`); the leaf aggregates are then rolled up the tree.
   */
 object PassBuilder {
 
@@ -49,7 +50,6 @@ object PassBuilder {
       synopsis: PassSynopsis,
       buildMillis: Long,
       optSampleSize: Int,
-      partitioningValue: Double,
   )
 
   private[repro] final case class Prepared(
@@ -88,22 +88,6 @@ object PassBuilder {
     }
   }
 
-  /** Interior cuts -> leaf rectangles clamped to the data bounding box. */
-  private[repro] def leafRects1D(cuts: Array[Double], dataRect: Rect): Array[Rect] = {
-    val edges = dataRect.lo(0) +: cuts :+ dataRect.hi(0)
-    Array.tabulate(cuts.length + 1)(j => Rect.range(edges(j), edges(j + 1)))
-  }
-
-  /** leaf id = number of cuts <= x (binary search over the broadcast cut table). */
-  private[repro] def cutAssigner(cuts: Array[Double]): Array[Double] => Int = { x =>
-    var lo = 0; var hi = cuts.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (cuts(mid) <= x(0)) lo = mid + 1 else hi = mid
-    }
-    lo
-  }
-
   def build(
       df: DataFrame,
       predCols: Seq[String],
@@ -117,44 +101,51 @@ object PassBuilder {
   ): BuildResult = {
     val t0 = System.nanoTime()
     val p  = prepare(df, predCols, aggCol)
+    val (synopsis, optRows) = buildPrepared(p, predCols, aggCol, partitioner, alloc,
+      optSampleSize, lambda, seed, zeroVarRule)
+    BuildResult(synopsis, (System.nanoTime() - t0) / 1000000L, optRows)
+  }
+
+  /** [[build]] over an already prepared projection; also returns the size of
+    * the optimization sample. Callers that need another pass over the same
+    * projection (AQP++'s uniform sample) share its `prepare`.
+    */
+  private[repro] def buildPrepared(
+      p: Prepared,
+      predCols: Seq[String],
+      aggCol: String,
+      partitioner: Partitioner,
+      alloc: Allocation,
+      optSampleSize: Int,
+      lambda: Double,
+      seed: Long,
+      zeroVarRule: Boolean,
+  ): (PassSynopsis, Int) = {
     require(p.totalRows > 0, "cannot build a synopsis over an empty table")
     val sampleRows = optSample(p, optSampleSize, seed)
     val d          = predCols.length
 
     // ---- partitioning optimization (driver, over the optimization sample) ----
-    val (leafSkeletons, assignFn, kdBuilt, partValue):
-        (Array[TreeNode], Array[Double] => Int, Option[KdTree.Built], Double) = partitioner match {
-      case p1: Partitioner if d == 1 && !p1.isInstanceOf[KdGreedy] && !p1.isInstanceOf[KdBalanced] =>
-        val cs = sampleRows.map(_.getDouble(0))
-        val as = sampleRows.map(_.getDouble(1))
-        val s  = SortedSample1D(cs, as)
-        val part = p1 match {
-          case Adp1D(k, agg, dm)  => Dp1D.adp(s, k, agg, dm)
-          case EqualDepth1D(k)    => Dp1D.equalDepth(s, k)
-          case Cuts1D(choose)     => Dp1D.Partitioning1D(Array.empty, choose(s), Double.NaN)
-          case other              => throw new IllegalArgumentException(s"$other is not 1-D")
-        }
-        val rects  = leafRects1D(part.cuts, p.dataRect)
-        val leaves = rects.zipWithIndex.map { case (r, i) => PartitionTree.leaf(r, i) }
-        (leaves, cutAssigner(part.cuts), None, part.value)
-      case KdGreedy(k, agg, skew) =>
-        val pts   = sampleRows.map(r => Array.tabulate(d)(r.getDouble))
-        val vals  = sampleRows.map(_.getDouble(d))
-        val built = KdTree.buildGreedy(pts, vals, k, agg, p.dataRect, skew)
-        (null, built.assign _, Some(built), Double.NaN)
-      case KdBalanced(k) =>
-        val pts   = sampleRows.map(r => Array.tabulate(d)(r.getDouble))
-        val vals  = sampleRows.map(_.getDouble(d))
-        val built = KdTree.buildBalanced(pts, vals, k, p.dataRect)
-        (null, built.assign _, Some(built), Double.NaN)
-      case other =>
-        throw new IllegalArgumentException(s"partitioner $other incompatible with d=$d")
+    def cuts1D(choose: SortedSample1D => Array[Double]): TreeNode = {
+      require(d == 1, s"partitioner $partitioner incompatible with d=$d")
+      val s = SortedSample1D(sampleRows.map(_.getDouble(0)), sampleRows.map(_.getDouble(1)))
+      PartitionTree.build1D(choose(s), p.dataRect)
     }
+    lazy val pts  = sampleRows.map(r => Array.tabulate(d)(r.getDouble))
+    lazy val vals = sampleRows.map(_.getDouble(d))
+    val root = partitioner match {
+      case Adp1D(k, agg, dm)      => cuts1D(Dp1D.adp(_, k, agg, dm).cuts)
+      case EqualDepth1D(k)        => cuts1D(Dp1D.equalDepth(_, k).cuts)
+      case Cuts1D(choose)         => cuts1D(choose)
+      case KdGreedy(k, agg, skew) => KdTree.buildGreedy(pts, vals, k, agg, p.dataRect, skew)
+      case KdBalanced(k)          => KdTree.buildBalanced(pts, vals, k, p.dataRect)
+    }
+    val leaves = root.leaves.toArray // DFS order = leaf-id order
 
     // ---- full-data passes: aggregates + stratified samples --------------------
-    val assignUdf = udf((xs: Seq[Double]) => assignFn(xs.toArray))
+    val leafUdf = udf((xs: Seq[Double]) => PartitionTree.leafOf(root, xs.toArray))
     val withLeaf = p.projected
-      .withColumn("__leaf", assignUdf(array(predCols.map(col): _*)))
+      .withColumn("__leaf", leafUdf(array(predCols.map(col): _*)))
       .persist()
     try {
       val statRows = withLeaf
@@ -166,22 +157,12 @@ object PassBuilder {
           max(col(aggCol)).as("mx"),
         )
         .collect()
-      val statMap = statRows.map(r =>
-        r.getAs[Int]("__leaf") ->
-          (r.getAs[Long]("cnt"), r.getAs[Double]("sm"), r.getAs[Double]("mn"), r.getAs[Double]("mx"))
-      ).toMap
-
-      val (root, leaves): (TreeNode, Array[TreeNode]) = kdBuilt match {
-        case Some(built) => built.toTreeNodes
-        case None        => (null, leafSkeletons) // tree built after stats below
+      for (r <- statRows) {
+        val l = leaves(r.getAs[Int]("__leaf"))
+        l.count = r.getAs[Long]("cnt"); l.sum = r.getAs[Double]("sm")
+        l.min = r.getAs[Double]("mn"); l.max = r.getAs[Double]("mx")
       }
-      for (l <- leaves) statMap.get(l.leafId).foreach { case (c, s, mn, mx) =>
-        l.count = c; l.sum = s; l.min = mn; l.max = mx
-      }
-      val tree = kdBuilt match {
-        case Some(_) => PartitionTree.rollUpTree(root); root
-        case None    => PartitionTree.build1D(leaves)
-      }
+      PartitionTree.rollUpTree(root)
 
       val targets: Map[Int, Long] = alloc match {
         case PerLeaf(n)        => leaves.map(l => l.leafId -> n.toLong).toMap
@@ -193,7 +174,10 @@ object PassBuilder {
         l.leafId -> (if (ni == 0) 0.0 else math.min(1.0, targets(l.leafId).toDouble / ni))
       }.toMap
 
-      val sampledRows = withLeaf.stat.sampleBy("__leaf", fractions, seed + 1).collect()
+      // no leaf gets a sample (aggregates-only synopses): skip the pass
+      val sampledRows =
+        if (fractions.values.forall(_ == 0.0)) Array.empty[Row]
+        else withLeaf.stat.sampleBy("__leaf", fractions, seed + 1).collect()
       val byLeaf = mutable.Map.empty[Int, (mutable.ArrayBuffer[Array[Double]], mutable.ArrayBuffer[Double])]
       for (r <- sampledRows) {
         val id  = r.getAs[Int]("__leaf")
@@ -207,8 +191,7 @@ object PassBuilder {
           .getOrElse(LeafSample.empty)
       }
 
-      val synopsis = new PassSynopsis(tree, leaves, samples, p.totalRows, lambda, zeroVarRule)
-      BuildResult(synopsis, (System.nanoTime() - t0) / 1000000L, sampleRows.length, partValue)
+      (new PassSynopsis(root, leaves, samples, p.totalRows, lambda, zeroVarRule), sampleRows.length)
     } finally withLeaf.unpersist()
   }
 }

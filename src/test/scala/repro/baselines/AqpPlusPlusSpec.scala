@@ -1,9 +1,15 @@
 package repro.baselines
 
+import org.apache.spark.SparkTestAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerTaskEnd}
+import org.apache.spark.sql.execution.SparkPlanInfo
+import org.apache.spark.sql.execution.ui.{SparkListenerSQLAdaptiveExecutionUpdate, SparkListenerSQLExecutionStart}
 import repro.SparkSpec
 import repro.core._
 import repro.bench.GroundTruth
 import repro.data.Datasets
+
+import scala.collection.mutable
 
 /** AQP++ (hill-climbed partition aggregates + uniform gap sampling) and the
   * KD-US multi-dimensional variant.
@@ -104,5 +110,56 @@ class AqpPlusPlusSpec extends SparkSpec {
     val est  = syn.answer(full, Agg.Sum)
     assert(math.abs(est.value - syn.root.sum) < 1e-6 * (1 + syn.root.sum.abs))
     assert(est.ciHalf == 0.0)
+  }
+
+  /** Rows read by the leaf scans of every SQL execution ("number of output
+    * rows" of file or cached-table scans). A cached table's scan lists the plan
+    * that filled the cache as its child; the scan itself is what reads the rows.
+    */
+  private final class ScanRows extends SparkListener {
+    private val scanMetrics = mutable.Set.empty[Long]
+    var rows = 0L
+
+    private def addScans(p: SparkPlanInfo): Unit =
+      if (p.nodeName == "InMemoryTableScan" || (p.children.isEmpty && p.nodeName.contains("Scan")))
+        p.metrics.filter(_.name == "number of output rows").foreach(scanMetrics += _.accumulatorId)
+      else p.children.foreach(addScans)
+
+    override def onOtherEvent(e: SparkListenerEvent): Unit = synchronized {
+      e match {
+        case s: SparkListenerSQLExecutionStart           => addScans(s.sparkPlanInfo)
+        case u: SparkListenerSQLAdaptiveExecutionUpdate => addScans(u.sparkPlanInfo)
+        case _                                           => ()
+      }
+    }
+
+    override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
+      for (a <- e.taskInfo.accumulables if scanMetrics.contains(a.id); u <- a.update)
+        rows += u.toString.toLong
+    }
+  }
+
+  private def scannedRows(build: => Unit): Long = {
+    val sc = spark.sparkContext
+    SparkTestAccess.drainListenerBus(sc)
+    val l = new ScanRows
+    sc.addSparkListener(l)
+    try { build; SparkTestAccess.drainListenerBus(sc) }
+    finally sc.removeSparkListener(l)
+    l.synchronized(l.rows)
+  }
+
+  test("AQP++ and KD-US builds read the table four times") {
+    val n = df.count()
+    // prepare, optimization sample, partition aggregates, uniform sample
+    val aqp = scannedRows {
+      AqpPlusPlus.build(df, Seq("pickup_datetime"), "trip_distance", partitions = 16, totalSamples = 500)
+    }
+    assert(aqp == 4 * n, s"AQP++ read $aqp rows, N = $n")
+    val kdUs = scannedRows {
+      AqpPlusPlus.buildKdUs(df, Seq("pickup_time", "pickup_date"), "trip_distance", leaves = 16,
+        totalSamples = 500)
+    }
+    assert(kdUs == 4 * n, s"KD-US read $kdUs rows, N = $n")
   }
 }

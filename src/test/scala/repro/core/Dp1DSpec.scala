@@ -66,7 +66,7 @@ class Dp1DSpec extends AnyFunSuite {
       assert(r.sampleBounds.head == 0 && r.sampleBounds.last == s.n)
       assert(r.sampleBounds.sliding(2).forall(p => p(0) <= p(1)))
       assert(r.cuts.length == r.k - 1)
-      assert(r.leafRects.length == r.k)
+      assert(PartitionTree.build1D(r.cuts, Rect.range(0, 100)).leaves.size == r.k)
     }
   }
 

@@ -98,6 +98,41 @@ class PartitionTreeSpec extends AnyFunSuite {
     assert(PartitionTree.invariantViolations(syn.root).nonEmpty)
   }
 
+  for (seed <- 0 until 6) {
+    test(s"1-D router counts the cuts at or below the point (seed=$seed)") {
+      val rnd  = new scala.util.Random(seed)
+      val (lo, hi) = (rnd.nextInt(50).toDouble, 60.0 + rnd.nextInt(50))
+      // integer-valued cuts so duplicates are common; one cut at the data minimum
+      val cuts = (lo +: Array.fill(rnd.nextInt(12))(lo + rnd.nextInt((hi - lo).toInt))).sorted
+      val root = PartitionTree.build1D(cuts, Rect.range(lo, hi))
+      val probes = cuts ++ cuts.map(Math.nextDown) ++ Array(lo, Math.nextDown(hi), lo - 5, hi + 5, Double.NaN) ++
+        Array.fill(200)(lo + rnd.nextDouble() * (hi - lo))
+      for (x <- probes)
+        assert(PartitionTree.leafOf(root, Array(x)) == cuts.count(_ <= x), s"x=$x cuts=${cuts.toSeq}")
+    }
+  }
+
+  for (d <- 1 to 3; greedy <- Seq(true, false)) {
+    test(s"kd router sends every in-box point to the leaf that contains it (d=$d greedy=$greedy)") {
+      val rnd  = new scala.util.Random(d * 10 + (if (greedy) 1 else 0))
+      // integer coordinates: medians repeat and often equal a node's lower edge
+      val pts  = Array.fill(400)(Array.fill(d)(rnd.nextInt(20).toDouble))
+      val vals = pts.map(p => p.sum + rnd.nextGaussian())
+      val box  = Rect(Array.fill(d)(0.0), Array.fill(d)(20.0))
+      val root =
+        if (greedy) KdTree.buildGreedy(pts, vals, k = 32, Agg.Sum, box)
+        else KdTree.buildBalanced(pts, vals, k = 32, box)
+      val leaves = root.leaves.toArray
+      // random points, the training points, and every leaf's lower corner (on splits)
+      val probes = Array.fill(300)(Array.fill(d)(rnd.nextDouble() * 20)) ++ pts ++
+        leaves.map(_.bounds.lo).filter(box.contains)
+      for (x <- probes) {
+        val id = PartitionTree.leafOf(root, x)
+        assert(leaves(id).bounds.contains(x), s"point ${x.toSeq} routed to ${leaves(id).bounds}")
+      }
+    }
+  }
+
   test("rollUpStats recomputes after leaf mutation") {
     val syn    = synopsisFor(6)
     val before = syn.root.sum

@@ -158,6 +158,21 @@ class PassBuilderSpec extends SparkSpec {
     } finally nyc.unpersist()
   }
 
+  // ties the Spark-side leaf routing to the bounds that MCF reads
+  test("every leaf count equals the exact count of the leaf bounds (Adp1D and KdGreedy)") {
+    for (l <- buildAdp().synopsis.leaves)
+      assert(l.count == gt.count(l.bounds), s"Adp1D leaf ${l.bounds}")
+    val nyc = Datasets.nycLite(spark, sf = 0.002, seed = 2).persist()
+    try {
+      val cols = Seq("pickup_time", "pickup_date")
+      val gt2  = GroundTruth.collect(nyc, cols, "trip_distance")
+      val syn  = PassBuilder.build(nyc, cols, "trip_distance",
+        PassBuilder.KdGreedy(32, Agg.Sum), PassBuilder.Rate(0.02), optSampleSize = 2000, seed = 13).synopsis
+      assert(syn.leaves.length > 8)
+      for (l <- syn.leaves) assert(l.count == gt2.count(l.bounds), s"KdGreedy leaf ${l.bounds}")
+    } finally nyc.unpersist()
+  }
+
   test("build reports cost accounting") {
     val r = buildAdp(k = 8)
     assert(r.buildMillis >= 0)

@@ -30,17 +30,14 @@ object TestSynopses {
   def build1D(cs: Array[Double], as: Array[Double], cuts: Array[Double],
               samplesPerLeaf: Int, seed: Long = 1, lambda: Double = 2.576,
               zeroVarRule: Boolean = true): PassSynopsis = {
-    val lo    = cs.min
-    val hi    = Math.nextUp(cs.max)
-    val edges = lo +: cuts :+ hi
-    val rnd   = new scala.util.Random(seed)
-    val leaves = Array.tabulate(edges.length - 1) { j =>
-      val r = Rect.range(edges(j), edges(j + 1))
-      val n = PartitionTree.leaf(r, j)
-      val (s, c, mn, mx) = exactStats(cs, as, r)
+    val root   = PartitionTree.build1D(cuts, Rect.range(cs.min, Math.nextUp(cs.max)))
+    val leaves = root.leaves.toArray
+    for (n <- leaves) {
+      val (s, c, mn, mx) = exactStats(cs, as, n.bounds)
       n.count = c; n.sum = s; n.min = mn; n.max = mx
-      n
     }
+    PartitionTree.rollUpTree(root)
+    val rnd = new scala.util.Random(seed)
     val samples = leaves.map { l =>
       val idx = cs.indices.filter(i => l.bounds.contains(Array(cs(i)))).toArray
       val chosen =
@@ -48,7 +45,6 @@ object TestSynopses {
         else rnd.shuffle(idx.toSeq).take(samplesPerLeaf).toArray
       LeafSample(chosen.map(i => Array(cs(i))), chosen.map(as))
     }
-    val root = PartitionTree.build1D(leaves)
     new PassSynopsis(root, leaves, samples, cs.length.toLong, lambda, zeroVarRule)
   }
 
