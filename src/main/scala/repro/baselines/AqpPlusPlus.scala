@@ -22,26 +22,10 @@ final class PrecompUniformSynopsis(
     root.preorder.size.toLong * (2L * root.bounds.dims + 4L) * 8L +
       k.toLong * (root.bounds.dims + 1L) * 8L
 
-  /** Moments of the uniform sample restricted to the gap `q \ cover`. */
-  private def gapMoments(q: Rect, cover: Seq[TreeNode]): Moments = {
-    var i = 0; var kM = 0; var s1 = 0.0; var s2 = 0.0
-    var mn = Double.PositiveInfinity; var mx = Double.NegativeInfinity
-    while (i < sampleValues.length) {
-      val pt = sampleCoords(i)
-      if (q.contains(pt) && !cover.exists(_.bounds.contains(pt))) {
-        val a = sampleValues(i)
-        kM += 1; s1 += a; s2 += a * a
-        if (a < mn) mn = a
-        if (a > mx) mx = a
-      }
-      i += 1
-    }
-    Moments(sampleValues.length, kM, s1, s2, mn, mx)
-  }
-
   def answer(q: Rect, agg: Agg): Estimate = {
     val f = PartitionTree.mcf(root, q)
-    val m = gapMoments(q, f.cover.toSeq)
+    // the uniform sample restricted to the gap `q \ cover`
+    val m = Moments.scan(sampleCoords, sampleValues, q, f.cover.iterator.map(_.bounds).toArray)
     agg match {
       case Agg.Min => Estimate(f.cover.iterator.map(_.min).foldLeft(m.min)(math.min), Double.NaN, processedSamples = k)
       case Agg.Max => Estimate(f.cover.iterator.map(_.max).foldLeft(m.max)(math.max), Double.NaN, processedSamples = k)

@@ -18,8 +18,7 @@ final class StratifiedSampleSynopsis(private val pass: PassSynopsis) extends Ser
   def answer(q: Rect, agg: Agg): Estimate = {
     // every overlapping stratum is estimated from its sample (no exact parts)
     val strata = pass.leaves.filter(l => !l.bounds.disjoint(q) && l.count > 0).map { l =>
-      val s = pass.samples(l.leafId)
-      (l.count, Moments.scan(s.coords, s.values, q))
+      (l.count, Moments.scan(pass.samples(l.leafId), q))
     }
     agg match {
       case Agg.Min | Agg.Max =>

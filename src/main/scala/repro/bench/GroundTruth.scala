@@ -49,7 +49,7 @@ final class GroundTruth(
       var d  = 0
       while (in && d < dims) {
         val x = coords(d)(i)
-        if (x < q.lo(d) || x >= q.hi(d)) in = false
+        if (!(x >= q.lo(d) && x < q.hi(d))) in = false // NaN matches no range
         d += 1
       }
       if (in) {

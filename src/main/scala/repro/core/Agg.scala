@@ -23,11 +23,14 @@ final case class Rect(lo: Array[Double], hi: Array[Double]) {
   require(lo.length == hi.length, "lo/hi dimension mismatch")
   def dims: Int = lo.length
 
-  /** Point membership test. */
-  def contains(x: Array[Double]): Boolean = {
-    var i = 0
+  /** Point membership test; a NaN coordinate lies in no rectangle. */
+  def contains(x: Array[Double]): Boolean = containsFrom(x, 0)
+
+  /** Membership in dimensions `from` .. `dims - 1` only. */
+  def containsFrom(x: Array[Double], from: Int): Boolean = {
+    var i = from
     while (i < lo.length) {
-      if (x(i) < lo(i) || x(i) >= hi(i)) return false
+      if (!(x(i) >= lo(i) && x(i) < hi(i))) return false
       i += 1
     }
     true

@@ -15,16 +15,54 @@ object Moments {
   /** The moments of an empty sample. */
   val empty: Moments = Moments(0, 0, 0.0, 0.0, Double.PositiveInfinity, Double.NegativeInfinity)
 
-  /** The predicate scan: one pass over a sample's tuples (`coords(i)`, `values(i)`). */
-  def scan(coords: Array[Array[Double]], values: Array[Double], q: Rect): Moments = {
-    var i  = 0
+  private val noRects: Array[Rect] = Array.empty
+
+  /** The PASS and ST scan of one leaf sample. The sample is sorted by
+    * dimension 0, so its rows inside `[q.lo(0), q.hi(0))` form one run, found
+    * by binary search; inside the run only dimensions 1 .. d−1 are checked
+    * (none in 1-D). `ki` is still the whole sample's size.
+    */
+  def scan(s: LeafSample, q: Rect): Moments = {
+    val c     = s.coords
+    val from  = lowerBound(c, q.lo(0))
+    val until = if (q.lo(0) <= q.hi(0)) lowerBound(c, q.hi(0)) else from // NaN bound: no run
+    accumulate(c, s.values, from, until, q, 1, noRects)
+  }
+
+  /** The whole-sample scan of US and AQP++/KD-US: every row `(coords(i),
+    * values(i))` inside `q` and outside each rectangle of `exclude` (AQP++'s
+    * covered nodes), every dimension checked.
+    */
+  def scan(coords: Array[Array[Double]], values: Array[Double], q: Rect,
+           exclude: Array[Rect] = noRects): Moments =
+    accumulate(coords, values, 0, values.length, q, 0, exclude)
+
+  /** The first row of a dimension-0-sorted sample not below `c` (NaN rows,
+    * sorted last, count as not below).
+    */
+  private def lowerBound(coords: Array[Array[Double]], c: Double): Int = {
+    var lo = 0; var hi = coords.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (coords(mid)(0) < c) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
+
+  /** The one accumulation loop: rows `from until until` that lie in `q` from
+    * dimension `firstDim` on and in no rectangle of `exclude`.
+    */
+  private def accumulate(coords: Array[Array[Double]], values: Array[Double], from: Int, until: Int,
+                         q: Rect, firstDim: Int, exclude: Array[Rect]): Moments = {
+    val check = firstDim < q.dims || exclude.length > 0 // false for a 1-D run: no row is read
+    var i  = from
     var k  = 0
     var s1 = 0.0
     var s2 = 0.0
     var mn = Double.PositiveInfinity
     var mx = Double.NegativeInfinity
-    while (i < values.length) {
-      if (q.contains(coords(i))) {
+    while (i < until) {
+      if (!check || (q.containsFrom(coords(i), firstDim) && !inAny(exclude, coords(i)))) {
         val a = values(i)
         k += 1; s1 += a; s2 += a * a
         if (a < mn) mn = a
@@ -33,6 +71,12 @@ object Moments {
       i += 1
     }
     Moments(values.length, k, s1, s2, mn, mx)
+  }
+
+  private def inAny(rects: Array[Rect], x: Array[Double]): Boolean = {
+    var j = 0
+    while (j < rects.length && !rects(j).contains(x)) j += 1
+    j < rects.length
   }
 }
 

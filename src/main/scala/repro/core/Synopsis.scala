@@ -1,12 +1,23 @@
 package repro.core
 
 /** The stratified sample attached to one leaf: predicate coordinates (row-major)
-  * and aggregate values for each sampled tuple.
+  * and aggregate values for each sampled tuple, sorted by the dimension-0
+  * coordinate (NaN last). The rows of a query's dimension-0 range are then one
+  * run, which `Moments.scan` finds by binary search. Only the factory, which
+  * sorts, builds one.
   */
-final case class LeafSample(coords: Array[Array[Double]], values: Array[Double]) {
+final class LeafSample private (val coords: Array[Array[Double]], val values: Array[Double])
+    extends Serializable {
   def size: Int = values.length
 }
 object LeafSample {
+  /** The sample of the given rows, stably reordered by dimension 0. */
+  def apply(coords: Array[Array[Double]], values: Array[Double]): LeafSample = {
+    require(coords.length == values.length, "coords/values length mismatch")
+    val order = Array.range(0, values.length).sortBy(coords(_)(0))(Ordering.Double.TotalOrdering)
+    new LeafSample(order.map(coords), order.map(values))
+  }
+
   val empty: LeafSample = LeafSample(Array.empty, Array.empty)
 }
 
@@ -40,8 +51,7 @@ final class PassSynopsis(
     root.preorder.size.toLong * (2L * d + 4L) * 8L + storedSamples * (d + 1L) * 8L
   }
 
-  private def moments(leafId: Int, q: Rect): Moments =
-    Moments.scan(samples(leafId).coords, samples(leafId).values, q)
+  private def moments(leafId: Int, q: Rect): Moments = Moments.scan(samples(leafId), q)
 
   /** Moments of the union of the given leaves' samples. */
   private def pooledMoments(leafIds: Iterable[Int], q: Rect): Moments =
@@ -49,19 +59,28 @@ final class PassSynopsis(
 
   /** Answers one aggregate query. See `Estimate` for field semantics. */
   def answer(q: Rect, agg: Agg): Estimate = {
-    val f = PartitionTree.mcf(root, q, zeroVarRule = zeroVarRule && agg == Agg.Avg)
-    val coverSum = f.cover.iterator.map(_.sum).sum
-    val coverCnt = f.cover.iterator.map(_.count).sum
-    val partialRows = f.partial.iterator.map(_.count).sum +
-      f.zeroVar.iterator.map(_.count).sum
-    val skipRate = if (totalRows == 0) 1.0 else 1.0 - partialRows.toDouble / totalRows
+    val f      = PartitionTree.mcf(root, q, zeroVarRule = zeroVarRule && agg == Agg.Avg)
+    val nPart  = f.partial.length
+    val nFront = nPart + f.zeroVar.length
+    def front(i: Int): TreeNode = if (i < nPart) f.partial(i) else f.zeroVar(i - nPart)
+
+    var coverSum = 0.0
+    var coverCnt = 0L
+    var i        = 0
+    while (i < f.cover.length) { coverSum += f.cover(i).sum; coverCnt += f.cover(i).count; i += 1 }
+    var partialCnt = 0L
+    i = 0
+    while (i < nPart) { partialCnt += f.partial(i).count; i += 1 }
+    var frontCnt = partialCnt // partial leaves and 0-variance nodes
+    while (i < nFront) { frontCnt += front(i).count; i += 1 }
+    val skipRate = if (totalRows == 0) 1.0 else 1.0 - frontCnt.toDouble / totalRows
 
     // exact cover + one stratum per partial leaf / 0-variance node; `while`, as a
     // closure capturing `est` would heap-allocate it and every leaf's Moments
     def estimator(): Stratified = {
       val est = new Stratified(agg, coverSum, coverCnt)
       var i = 0
-      while (i < f.partial.length) {
+      while (i < nPart) {
         val l = f.partial(i)
         est.add(l.count, moments(l.leafId, q))
         i += 1
@@ -80,36 +99,48 @@ final class PassSynopsis(
         val est = estimator()
         // hard bounds (Sec 2.3), generalized for possibly-negative values
         var lb = coverSum; var ub = coverSum
-        for (n <- f.partial.iterator ++ f.zeroVar.iterator) {
+        i = 0
+        while (i < nFront) {
+          val n = front(i)
           lb += (if (n.min >= 0) 0.0 else n.count * math.min(0.0, n.min))
           ub += (if (n.min >= 0) n.sum else n.count * math.max(0.0, n.max))
+          i += 1
         }
         Estimate(est.value, est.ciHalf(lambda), lb, ub, est.processed, skipRate)
 
       case Agg.Count =>
         val est = estimator()
-        val ub  = coverCnt.toDouble + f.partial.iterator.map(_.count).sum
+        val ub  = coverCnt.toDouble + partialCnt
         Estimate(est.value, est.ciHalf(lambda), coverCnt.toDouble, ub, est.processed, skipRate)
 
       case Agg.Avg =>
         val est = estimator()
-        // hard bounds (Sec 2.3)
+        // hard bounds (Sec 2.3) from the frontier's extrema, ordered as
+        // `Seq.min`/`max` order doubles (NaN above every number)
         val coveredAvg =
           if (coverCnt > 0) coverSum / coverCnt else Double.NaN
-        val partialExtrema = (f.partial.iterator ++ f.zeroVar.iterator).toSeq
+        var fMin = Double.NaN; var fMax = Double.NaN; var fSum = 0.0
+        i = 0
+        while (i < nFront) {
+          val n = front(i)
+          if (i == 0 || java.lang.Double.compare(n.min, fMin) < 0) fMin = n.min
+          if (i == 0 || java.lang.Double.compare(n.max, fMax) > 0) fMax = n.max
+          fSum += n.sum
+          i += 1
+        }
         val lb =
-          if (partialExtrema.isEmpty) coveredAvg
-          else if (coverCnt == 0) partialExtrema.map(_.min).min
-          else math.min(coveredAvg, partialExtrema.map(_.min).min)
+          if (nFront == 0) coveredAvg
+          else if (coverCnt == 0) fMin
+          else math.min(coveredAvg, fMin)
         val ub =
-          if (partialExtrema.isEmpty) coveredAvg
-          else if (coverCnt == 0) partialExtrema.map(_.max).max
-          else math.max(coveredAvg, partialExtrema.map(_.max).max)
+          if (nFront == 0) coveredAvg
+          else if (coverCnt == 0) fMax
+          else math.max(coveredAvg, fMax)
         val value = est.value
-        if (value.isNaN && partialExtrema.nonEmpty) {
+        if (value.isNaN && nFront > 0) {
           // nothing covered and no sampled tuple matched: answer the frontier's
           // exact average, which lies in [lb, ub], with the bounds as the CI
-          val v = partialExtrema.map(_.sum).sum / partialExtrema.map(_.count).sum
+          val v = fSum / frontCnt
           Estimate(v, math.max(ub - v, v - lb), lb, ub, est.processed, skipRate)
         } else Estimate(value, est.ciHalf(lambda), lb, ub, est.processed, skipRate)
 

@@ -1,0 +1,125 @@
+package repro.core
+
+import org.scalacheck.{Gen, Prop}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.PropSupport
+import repro.bench.GroundTruth
+
+/** The sorted leaf sample and its two scans (`Moments.scan`): the dim-0 run
+  * scan of PASS/ST against a brute-force scan of the same rows, and NaN
+  * coordinates under both the run scan and the whole-sample scan.
+  */
+class LeafScanSpec extends AnyFunSuite with PropSupport {
+
+  /** Random rows on a coarse grid (many duplicate coordinates) with distinct values. */
+  private def rows(rnd: scala.util.Random, n: Int, d: Int): (Array[Array[Double]], Array[Double]) = {
+    val coords = Array.fill(n)(Array.fill(d)(rnd.nextInt(12).toDouble - 3))
+    val values = Array.fill(n)((rnd.nextDouble() - 0.3) * 1000)
+    (coords, values)
+  }
+
+  /** The reference: every row checked in every dimension, in stored order. */
+  private def bruteForce(s: LeafSample, q: Rect): Moments = {
+    var m = Moments.empty
+    for (i <- 0 until s.size) {
+      val x = s.coords(i)
+      if ((0 until q.dims).forall(j => x(j) >= q.lo(j) && x(j) < q.hi(j))) {
+        val a = s.values(i)
+        m = m + Moments(0, 1, a, a * a, a, a)
+      }
+    }
+    m.copy(ki = s.size)
+  }
+
+  /** A probe bound: a sample coordinate itself, a grid point, ±∞, NaN, or a real. */
+  private def bound(rnd: scala.util.Random, s: LeafSample, j: Int): Double = rnd.nextInt(12) match {
+    case 0 | 1 | 2 if s.size > 0 => s.coords(rnd.nextInt(s.size))(j)
+    case 3                       => Double.NegativeInfinity
+    case 4                       => Double.PositiveInfinity
+    case 5                       => Double.NaN
+    case 6 | 7 | 8               => rnd.nextInt(14).toDouble - 4
+    case _                       => rnd.nextDouble() * 14 - 4
+  }
+
+  private def probe(rnd: scala.util.Random, s: LeafSample, d: Int): Rect = {
+    val lo = Array.tabulate(d)(bound(rnd, s, _))
+    // lo == hi (an empty range) one time in five
+    val hi = Array.tabulate(d)(j => if (rnd.nextInt(5) == 0) lo(j) else bound(rnd, s, j))
+    Rect(lo, hi)
+  }
+
+  private def relClose(a: Double, b: Double): Boolean =
+    a == b || math.abs(a - b) <= 1e-12 * math.max(math.abs(a), math.abs(b))
+
+  test("LeafSample sorts rows by dimension 0, each value kept with its coordinates") {
+    val rnd = new scala.util.Random(1)
+    for (d <- 1 to 3; n <- Seq(0, 1, 2, 50, 300)) {
+      val (coords, _) = rows(rnd, n, d)
+      val ids         = Array.tabulate(n)(_.toDouble) // value i marks input row i
+      val s           = LeafSample(coords, ids)
+      assert(s.size == n)
+      assert(s.values.map(_.toInt).sorted.sameElements(0 until n), s"d=$d n=$n: not a permutation")
+      for (i <- 0 until n) assert(s.coords(i) eq coords(s.values(i).toInt), s"d=$d n=$n row $i")
+      for (i <- 1 until n) {
+        val (a, b) = (s.coords(i - 1)(0), s.coords(i)(0))
+        assert(a < b || (a == b && s.values(i - 1) < s.values(i)), s"d=$d n=$n rows ${i - 1},$i: not stably sorted")
+      }
+    }
+  }
+
+  test("the dim-0 run scan equals a brute-force scan of the same rows (d = 1..3)") {
+    val gen = for {
+      d    <- Gen.choose(1, 3)
+      n    <- Gen.choose(0, 120)
+      seed <- Gen.long
+    } yield (d, n, seed)
+    checkProp(Prop.forAll(gen) { case (d, n, seed) =>
+      val rnd         = new scala.util.Random(seed)
+      val (cs, vs)    = rows(rnd, n, d)
+      val s           = LeafSample(cs, vs)
+      (0 until 40).forall { _ =>
+        val q = probe(rnd, s, d)
+        val (got, want) = (Moments.scan(s, q), bruteForce(s, q))
+        val ok = got.ki == want.ki && got.kMatch == want.kMatch && got.min == want.min &&
+          got.max == want.max && relClose(got.sum, want.sum) && relClose(got.sumSq, want.sumSq)
+        if (!ok) println(s"d=$d n=$n q=$q: run scan $got, brute force $want")
+        ok
+      }
+    }, minSuccessful = 200)
+  }
+
+  test("a NaN coordinate lies in no range under either scan, nor in the exact answers") {
+    val big = 1e9 // the value of every row with a NaN coordinate
+    val probes1 = Seq(Rect.range(Double.NegativeInfinity, Double.PositiveInfinity),
+                      Rect.range(0, 5), Rect.range(Double.NegativeInfinity, 0), Rect.range(2, Double.PositiveInfinity))
+    for (d <- 1 to 2; nanDim <- 0 until d) {
+      val rnd      = new scala.util.Random(d * 10 + nanDim)
+      val (cs, vs) = rows(rnd, 60, d)
+      for (i <- 0 until 60 by 4) { cs(i)(nanDim) = Double.NaN; vs(i) = big }
+      val s = LeafSample(cs, vs)
+      val probes = probes1.map(p => Rect(Array.fill(d)(p.lo(0)), Array.fill(d)(p.hi(0))))
+      for (q <- probes) {
+        val want = bruteForce(s, q)
+        for ((how, m) <- Seq("run" -> Moments.scan(s, q), "whole" -> Moments.scan(cs, vs, q)))
+          assert(m.kMatch == want.kMatch && m.max < big, s"$how d=$d nanDim=$nanDim q=$q: $m")
+        assert(!cs.exists(x => x(nanDim).isNaN && q.contains(x)))
+      }
+      val colMajor = Array.tabulate(d)(j => cs.map(_(j)))
+      val gt       = new GroundTruth(colMajor, vs)
+      val all      = Rect(Array.fill(d)(Double.NegativeInfinity), Array.fill(d)(Double.PositiveInfinity))
+      assert(gt.count(all) == 45, s"d=$d nanDim=$nanDim")
+      assert(gt.answer(all, Agg.Max) < big)
+    }
+  }
+
+  test("the whole-sample scan with excluded rectangles drops exactly the rows inside them") {
+    val rnd      = new scala.util.Random(5)
+    val (cs, vs) = rows(rnd, 200, 2)
+    val q        = Rect(Array(-1.0, 0.0), Array(7.0, 6.0))
+    val holes    = Array(Rect(Array(0.0, 1.0), Array(3.0, 4.0)), Rect(Array(5.0, 0.0), Array(9.0, 2.0)))
+    val m        = Moments.scan(cs, vs, q, holes)
+    val kept     = cs.indices.filter(i => q.contains(cs(i)) && !holes.exists(_.contains(cs(i))))
+    assert(m.ki == 200 && m.kMatch == kept.size && kept.size > 0)
+    assert(m.sum == kept.map(vs).foldLeft(0.0)(_ + _))
+  }
+}

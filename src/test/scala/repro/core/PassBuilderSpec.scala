@@ -173,6 +173,41 @@ class PassBuilderSpec extends SparkSpec {
     } finally nyc.unpersist()
   }
 
+  private def sortedByDim0(s: LeafSample): Boolean =
+    (1 until s.size).forall(i => java.lang.Double.compare(s.coords(i - 1)(0), s.coords(i)(0)) <= 0)
+
+  test("every leaf sample is sorted by dimension 0 (Adp1D and KdGreedy)") {
+    val adp = buildAdp().synopsis
+    assert(adp.storedSamples > 100)
+    for (id <- adp.samples.indices) assert(sortedByDim0(adp.samples(id)), s"Adp1D leaf $id")
+    val nyc = Datasets.nycLite(spark, sf = 0.002, seed = 2).persist()
+    try {
+      val syn = PassBuilder.build(nyc, Seq("pickup_time", "pickup_date"), "trip_distance",
+        PassBuilder.KdGreedy(32, Agg.Sum), PassBuilder.Rate(0.08), optSampleSize = 2000, seed = 11).synopsis
+      assert(syn.storedSamples > 100)
+      for (id <- syn.samples.indices) assert(sortedByDim0(syn.samples(id)), s"KdGreedy leaf $id")
+    } finally nyc.unpersist()
+  }
+
+  test("a Java-serialized synopsis answers bit-identically to the original") {
+    val syn = buildAdp(k = 32).synopsis
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out   = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(syn); out.close()
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[PassSynopsis]
+    val rnd = new scala.util.Random(21)
+    val cs  = gt.coords(0).sorted
+    val qs  = Seq.fill(40) {
+      val i = rnd.nextInt(cs.length); val j = math.min(cs.length - 1, i + rnd.nextInt(cs.length / 3))
+      Rect.range(cs(i), cs(j))
+    } :+ syn.leaves(3).bounds :+ Rect.range(Double.NegativeInfinity, Double.PositiveInfinity)
+    def bits(e: Estimate): Seq[Long] =
+      Seq(e.value, e.ciHalf, e.lb, e.ub, e.skipRate).map(java.lang.Double.doubleToLongBits) :+ e.processedSamples
+    for (q <- qs; agg <- Agg.all)
+      assert(bits(copy.answer(q, agg)) == bits(syn.answer(q, agg)), s"$agg q=$q")
+  }
+
   test("build reports cost accounting") {
     val r = buildAdp(k = 8)
     assert(r.buildMillis >= 0)
