@@ -10,30 +10,27 @@ import repro.core._
   * baselines differ only in how partitions are chosen: AQP++ runs the paper's
   * hill-climbing heuristic in 1-D; KD-US expands a balanced kd-tree.
   */
-final class PrecompUniformSynopsis(
-    val root: TreeNode,
-    val sampleCoords: Array[Array[Double]],
-    val sampleValues: Array[Double],
-    val totalRows: Long,
-    val lambda: Double = 2.576,
-) extends Serializable {
-  def k: Int = sampleValues.length
-  def storageBytes: Long =
-    root.preorder.size.toLong * (2L * root.bounds.dims + 4L) * 8L +
-      k.toLong * (root.bounds.dims + 1L) * 8L
+final class PrecompUniformSynopsis(val root: TreeNode, val sample: LeafSample, val totalRows: Long)
+    extends Serializable {
+  def storageBytes: Long = PartitionTree.storageBytes(root) + sample.storageBytes
 
   def answer(q: Rect, agg: Agg): Estimate = {
-    val f = PartitionTree.mcf(root, q)
+    val f        = PartitionTree.mcf(root, q)
+    val coverCnt = f.cover.iterator.map(_.count).sum
     // the uniform sample restricted to the gap `q \ cover`
-    val m = Moments.scan(sampleCoords, sampleValues, q, f.cover.iterator.map(_.bounds).toArray)
+    val m = Moments.scan(sample, q, f.cover.iterator.map(_.bounds).toArray)
     agg match {
-      case Agg.Min => Estimate(f.cover.iterator.map(_.min).foldLeft(m.min)(math.min), Double.NaN, processedSamples = k)
-      case Agg.Max => Estimate(f.cover.iterator.map(_.max).foldLeft(m.max)(math.max), Double.NaN, processedSamples = k)
+      case Agg.Min =>
+        val coverMin = f.cover.iterator.map(_.min).foldLeft(Double.PositiveInfinity)(math.min)
+        Estimate(m.extreme(agg, coverCnt, coverMin), Double.NaN, processedSamples = m.ki)
+      case Agg.Max =>
+        val coverMax = f.cover.iterator.map(_.max).foldLeft(Double.NegativeInfinity)(math.max)
+        Estimate(m.extreme(agg, coverCnt, coverMax), Double.NaN, processedSamples = m.ki)
       case _ =>
         // exact cover + one stratum, the whole table, sampled only in the gap
-        val est = new Stratified(agg, f.cover.iterator.map(_.sum).sum, f.cover.iterator.map(_.count).sum)
+        val est = new Stratified(agg, f.cover.iterator.map(_.sum).sum, coverCnt)
         est.add(totalRows, m)
-        est.estimate(lambda)
+        est.estimate
     }
   }
 }
@@ -47,8 +44,9 @@ object AqpPlusPlus {
     * probe is the part of its range not covered by whole buckets — exactly
     * what the uniform sample must estimate at query time.
     */
-  def hillClimbCuts(s: SortedSample1D, k: Int, nProbes: Int = 200, passes: Int = 3,
-                    candidatesPerMove: Int = 8, seed: Long = 7): Array[Double] = {
+  def hillClimbCuts(s: SortedSample1D, k: Int, seed: Long = 7): Array[Double] = {
+    // fixed effort: probe intervals, improvement passes, candidate positions per move
+    val nProbes = 200; val passes = 3; val candidatesPerMove = 8
     val m = s.n
     if (m == 0 || k <= 1) return Array.empty
     val rnd    = new scala.util.Random(seed)
@@ -106,31 +104,29 @@ object AqpPlusPlus {
     * global uniform sample of `totalSamples` tuples.
     */
   def build(df: DataFrame, predCols: Seq[String], aggCol: String, partitions: Int,
-            totalSamples: Long, optSampleSize: Int = 4096, lambda: Double = 2.576,
-            seed: Long = 42): (PrecompUniformSynopsis, Long) = {
+            totalSamples: Long, seed: Long = 42): (PrecompUniformSynopsis, Long) = {
     require(predCols.length == 1, "AQP++ baseline here is 1-D; use buildKdUs for d>1")
     precompUniform(df, predCols, aggCol, PassBuilder.Cuts1D(hillClimbCuts(_, partitions, seed = seed)),
-      totalSamples, optSampleSize, lambda, seed)
+      totalSamples, seed)
   }
 
   /** Builds KD-US (Sec 5.4): balanced kd-tree aggregates + global uniform sample. */
   def buildKdUs(df: DataFrame, predCols: Seq[String], aggCol: String, leaves: Int,
-                totalSamples: Long, optSampleSize: Int = 4096, lambda: Double = 2.576,
-                seed: Long = 42): (PrecompUniformSynopsis, Long) =
-    precompUniform(df, predCols, aggCol, PassBuilder.KdBalanced(leaves), totalSamples, optSampleSize, lambda, seed)
+                totalSamples: Long, seed: Long = 42): (PrecompUniformSynopsis, Long) =
+    precompUniform(df, predCols, aggCol, PassBuilder.KdBalanced(leaves), totalSamples, seed)
 
-  /** Aggregates-only PASS build plus a uniform sample drawn from the same
+  /** Aggregates-only PASS build plus the US sample drawn from the same
     * prepared projection: four scans of the table.
     */
   private def precompUniform(df: DataFrame, predCols: Seq[String], aggCol: String,
-                             partitioner: PassBuilder.Partitioner, totalSamples: Long, optSampleSize: Int,
-                             lambda: Double, seed: Long): (PrecompUniformSynopsis, Long) = {
+                             partitioner: PassBuilder.Partitioner, totalSamples: Long,
+                             seed: Long): (PrecompUniformSynopsis, Long) = {
     val t0 = System.nanoTime()
     val p  = PassBuilder.prepare(df, predCols, aggCol)
     val (pass, _) = PassBuilder.buildPrepared(p, predCols, aggCol, partitioner, PassBuilder.PerLeaf(0),
-      optSampleSize, lambda, seed, zeroVarRule = true)
-    val us  = UniformSampling.draw(p, totalSamples.toInt, lambda, seed + 13)
-    val syn = new PrecompUniformSynopsis(pass.root, us.coords, us.values, p.totalRows, lambda)
+      PassBuilder.DefaultOptSampleSize, seed)
+    val us  = UniformSampling.draw(p, totalSamples.toInt, seed + 13)
+    val syn = new PrecompUniformSynopsis(pass.root, us.sample, p.totalRows)
     (syn, (System.nanoTime() - t0) / 1000000L)
   }
 }

@@ -1,9 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.DoubleType
-import repro.core.{Agg, Estimate, Rect}
+import repro.core.{Agg, Estimate, PassBuilder, Rect}
 
 /** Equi-depth histogram over one column with per-bucket sums, supporting
   * `P(lo <= x < hi)` and `E[x · 1(lo <= x < hi)]` under a within-bucket
@@ -151,10 +149,13 @@ final class DeepDbLiteSynopsis(
 }
 
 object DeepDbLite {
-  /** Learns the SPN from `rows` (columns = predicate columns then agg column). */
-  def train(rows: Array[Array[Double]], nCols: Int, minRows: Int = 512,
-            corrThreshold: Double = 0.3, maxDepth: Int = 10, buckets: Int = 64,
-            seed: Long = 42): SpnNode = {
+  /** Learns the SPN from `rows` (columns = predicate columns then agg column).
+    * Row clusters of fewer than 512 rows, or 10 levels deep, become product
+    * leaves; columns with |pearson| < 0.3 count as independent; histograms
+    * have 64 buckets.
+    */
+  def train(rows: Array[Array[Double]], nCols: Int, seed: Long = 42): SpnNode = {
+    val minRows = 512; val corrThreshold = 0.3; val maxDepth = 10; val buckets = 64
     val rnd = new scala.util.Random(seed)
 
     def leafProduct(idx: Array[Int], scope: Array[Int]): SpnNode = {
@@ -260,13 +261,11 @@ object DeepDbLite {
   def build(df: DataFrame, predCols: Seq[String], aggCol: String, sampleRatio: Double,
             seed: Long = 42): (DeepDbLiteSynopsis, Long) = {
     val t0   = System.nanoTime()
-    val cols = (predCols :+ aggCol).map(c => col(c).cast(DoubleType).as(c))
-    val proj = df.select(cols: _*)
-    val n    = proj.count()
-    val raw  = proj.sample(withReplacement = false, math.min(1.0, sampleRatio), seed).collect()
+    val p    = PassBuilder.prepare(df, predCols, aggCol)
+    val raw  = p.projected.sample(withReplacement = false, math.min(1.0, sampleRatio), seed).collect()
     val d    = predCols.length
     val mat  = raw.map(r => Array.tabulate(d + 1)(r.getDouble))
     val root = train(mat, d + 1, seed = seed)
-    (new DeepDbLiteSynopsis(root, n, mat.length, d), (System.nanoTime() - t0) / 1000000L)
+    (new DeepDbLiteSynopsis(root, p.totalRows, mat.length, d), (System.nanoTime() - t0) / 1000000L)
   }
 }

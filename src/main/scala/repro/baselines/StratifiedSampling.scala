@@ -10,10 +10,9 @@ import repro.core._
   * pipeline as PASS (groupBy + sampleBy) via [[repro.core.PassBuilder]].
   */
 final class StratifiedSampleSynopsis(private val pass: PassSynopsis) extends Serializable {
-  def totalRows: Long = pass.totalRows
-  def lambda: Double  = pass.lambda
+  def totalRows: Long     = pass.totalRows
   def storedSamples: Long = pass.storedSamples
-  def storageBytes: Long  = pass.storedSamples * (pass.root.bounds.dims + 1L) * 8L
+  def storageBytes: Long  = pass.sampleBytes
 
   def answer(q: Rect, agg: Agg): Estimate = {
     // every overlapping stratum is estimated from its sample (no exact parts)
@@ -23,12 +22,11 @@ final class StratifiedSampleSynopsis(private val pass: PassSynopsis) extends Ser
     agg match {
       case Agg.Min | Agg.Max =>
         val m = strata.foldLeft(Moments.empty)(_ + _._2)
-        val v = if (m.kMatch == 0) Double.NaN else if (agg == Agg.Min) m.min else m.max
-        Estimate(v, Double.NaN, processedSamples = m.ki)
+        Estimate(m.extreme(agg), Double.NaN, processedSamples = m.ki)
       case _ =>
         val est = new Stratified(agg)
         for ((ni, m) <- strata) est.add(ni, m)
-        est.estimate(lambda)
+        est.estimate
     }
   }
 }
@@ -36,14 +34,13 @@ final class StratifiedSampleSynopsis(private val pass: PassSynopsis) extends Ser
 object StratifiedSampling {
   /** Builds B equal-depth strata with K/B samples each. */
   def build(df: DataFrame, predCols: Seq[String], aggCol: String, strata: Int, totalSamples: Long,
-            optSampleSize: Int = 4096, lambda: Double = 2.576,
             seed: Long = 42): (StratifiedSampleSynopsis, Long) = {
     require(predCols.length == 1, "ST baseline is one-dimensional in the paper")
     val r = PassBuilder.build(
       df, predCols, aggCol,
       PassBuilder.EqualDepth1D(strata),
       PassBuilder.TotalBudget(totalSamples),
-      optSampleSize, lambda, seed)
+      seed = seed)
     (new StratifiedSampleSynopsis(r.synopsis), r.buildMillis)
   }
 }

@@ -16,7 +16,6 @@ object Tables {
   def sf: Double   = sys.env.get("REPRO_SF").map(_.toDouble).getOrElse(0.1)
   def nQ: Int      = sys.env.get("REPRO_QUERIES").map(_.toInt).getOrElse(400)
   def seed: Long   = sys.env.get("REPRO_SEED").map(_.toLong).getOrElse(42L)
-  val lambda       = 2.576 // 99% CI, the paper's default
   val partitions   = 64    // Table 1/2 partition count
   val sampleRate   = 0.005 // the paper's 0.5% sampling rate
 
@@ -77,7 +76,7 @@ object Tables {
       var cost = 0.0
       val re = bs.flatMap { b =>
         val r = PassBuilder.build(b.df, b.predCols, b.aggCol,
-          PassBuilder.Adp1D(partitions, Agg.Sum), alloc(b), lambda = lambda, seed = seed)
+          PassBuilder.Adp1D(partitions, Agg.Sum), alloc(b), seed = seed)
         cost += r.buildMillis / 1000.0
         metricsOf(b, r.synopsis.answer)
       }.toMap
@@ -89,7 +88,7 @@ object Tables {
     locally { // US
       var cost = 0.0
       val re = bs.flatMap { b =>
-        val (syn, ms) = UniformSampling.build(b.df, b.predCols, b.aggCol, b.k, lambda, seed)
+        val (syn, ms) = UniformSampling.build(b.df, b.predCols, b.aggCol, b.k, seed)
         cost += ms / 1000.0
         metricsOf(b, syn.answer)
       }.toMap
@@ -98,8 +97,7 @@ object Tables {
     locally { // ST
       var cost = 0.0
       val re = bs.flatMap { b =>
-        val (syn, ms) = StratifiedSampling.build(b.df, b.predCols, b.aggCol, partitions, b.k,
-          lambda = lambda, seed = seed)
+        val (syn, ms) = StratifiedSampling.build(b.df, b.predCols, b.aggCol, partitions, b.k, seed)
         cost += ms / 1000.0
         metricsOf(b, syn.answer)
       }.toMap
@@ -108,8 +106,7 @@ object Tables {
     locally { // AQP++
       var cost = 0.0
       val re = bs.flatMap { b =>
-        val (syn, ms) = AqpPlusPlus.build(b.df, b.predCols, b.aggCol, partitions, b.k,
-          lambda = lambda, seed = seed)
+        val (syn, ms) = AqpPlusPlus.build(b.df, b.predCols, b.aggCol, partitions, b.k, seed)
         cost += ms / 1000.0
         metricsOf(b, syn.answer)
       }.toMap
@@ -204,7 +201,7 @@ object Tables {
           if (b.predCols.length == 1) PassBuilder.Adp1D(partitions, Agg.Sum)
           else PassBuilder.KdGreedy(kdLeaves, Agg.Sum)
         val r = PassBuilder.build(b.df, b.predCols, b.aggCol, part,
-          PassBuilder.TotalBudget(mult * b.k), lambda = lambda, seed = seed)
+          PassBuilder.TotalBudget(mult * b.k), seed = seed)
         (q => r.synopsis.answer(q, Agg.Sum), r.synopsis.storageBytes / 1048576.0, r.buildMillis / 1000.0)
       }
       Table2Row(name, lat, stor, cost, re)
@@ -214,7 +211,7 @@ object Tables {
     def verdictRow(name: String, ratio: Double): Table2Row = {
       val (lat, stor, cost, re) = evalAll { b =>
         val (syn, ms) = UniformSampling.build(b.df, b.predCols, b.aggCol,
-          math.ceil(ratio * b.n).toInt, lambda, seed)
+          math.ceil(ratio * b.n).toInt, seed)
         (q => syn.answer(q, Agg.Sum), syn.storageBytes / 1048576.0, ms / 1000.0)
       }
       Table2Row(name, lat, stor, cost, re)
@@ -277,7 +274,7 @@ object Tables {
     val b = bundle1D("NYC", Datasets.nycLite(spark, sf), "pickup_datetime", "trip_distance", nQ)
     val rows = Seq(4, 8, 16, 32, 64, 128).map { k =>
       val r = PassBuilder.build(b.df, b.predCols, b.aggCol,
-        PassBuilder.Adp1D(k, Agg.Sum), PassBuilder.Rate(sampleRate), lambda = lambda, seed = seed)
+        PassBuilder.Adp1D(k, Agg.Sum), PassBuilder.Rate(sampleRate), seed = seed)
       val m = Harness.evaluate(r.synopsis.answer, b.gt, b.queries, Agg.Sum)
       Table3Row(k, r.buildMillis / 1000.0, m.meanLatencyMs, m.maxLatencyMs, m.medianRelErr)
     }

@@ -124,47 +124,42 @@ object KdTree {
   }
 
   /** KD-PASS: greedy expansion of the max-approximate-variance leaf until `k`
-    * leaves, with leaf depths kept within `maxDepthSkew` of the shallowest
-    * still-splittable leaf (the paper limits the skew to 2).
+    * leaves, with leaf depths kept within a skew of 2 of the shallowest
+    * still-splittable leaf (the paper's setting).
     */
   def buildGreedy(pts: Array[Array[Double]], vals: Array[Double], k: Int, agg: Agg,
-                  rootRect: Rect, maxDepthSkew: Int = 2, deltaM0: Int = 0): TreeNode = {
-    require(pts.nonEmpty, "no optimization sample")
-    val d      = rootRect.dims
-    val fanout = 1 << d
-    val deltaM = if (deltaM0 >= 1) deltaM0 else math.max(4, pts.length / (4 * math.max(1, k)))
-    val root   = new KdNode(rootRect, 0)
-    root.points = pts.indices.toArray
-    root.score = leafScore(pts, vals, root.points, agg, 0, deltaM)
-    val leaves = ArrayBuffer[KdNode](root)
-    while (leaves.length + fanout - 1 <= k) {
-      val cands = leaves.filter(splittable(_, pts, fanout))
-      if (cands.isEmpty) return finish(root)
-      val minD     = cands.map(_.depth).min
-      val eligible = cands.filter(_.depth <= minD + maxDepthSkew - 1)
-      val pick     = eligible.maxBy(n => (n.score, n.points.length.toDouble))
-      leaves -= pick
-      leaves ++= expand(pick, pts, vals, agg, deltaM)
+                  rootRect: Rect): TreeNode = {
+    val deltaM = math.max(4, pts.length / (4 * math.max(1, k)))
+    grow(pts, vals, k, rootRect, agg, deltaM) { cands =>
+      val minD = cands.map(_.depth).min
+      cands.filter(_.depth <= minD + 1).maxBy(n => (n.score, n.points.length.toDouble))
     }
-    finish(root)
   }
 
   /** KD-US's partitioning: always expand the shallowest splittable leaf (ties
     * broken by insertion order), yielding a balanced tree of `<= k` leaves.
     */
-  def buildBalanced(pts: Array[Array[Double]], vals: Array[Double], k: Int,
-                    rootRect: Rect): TreeNode = {
+  def buildBalanced(pts: Array[Array[Double]], vals: Array[Double], k: Int, rootRect: Rect): TreeNode =
+    grow(pts, vals, k, rootRect, Agg.Count, 1)(_.minBy(_.depth))
+
+  /** The one expansion loop: while another split keeps the tree within `k`
+    * leaves, `pick` one of the splittable leaves (in insertion order) and
+    * split it.
+    */
+  private def grow(pts: Array[Array[Double]], vals: Array[Double], k: Int, rootRect: Rect, agg: Agg,
+                   deltaM: Int)(pick: ArrayBuffer[KdNode] => KdNode): TreeNode = {
     require(pts.nonEmpty, "no optimization sample")
     val fanout = 1 << rootRect.dims
     val root   = new KdNode(rootRect, 0)
     root.points = pts.indices.toArray
-    val leaves = ArrayBuffer[KdNode](root)
-    while (leaves.length + fanout - 1 <= k) {
-      val cands = leaves.filter(splittable(_, pts, fanout))
-      if (cands.isEmpty) return finish(root)
-      val pick = cands.minBy(_.depth)
-      leaves -= pick
-      leaves ++= expand(pick, pts, vals, Agg.Count, 1)
+    root.score = leafScore(pts, vals, root.points, agg, 0, deltaM)
+    val cands   = ArrayBuffer(root).filter(splittable(_, pts, fanout))
+    var nLeaves = 1
+    while (nLeaves + fanout - 1 <= k && cands.nonEmpty) {
+      val p = pick(cands)
+      cands -= p
+      cands ++= expand(p, pts, vals, agg, deltaM).filter(splittable(_, pts, fanout))
+      nLeaves += fanout - 1
     }
     finish(root)
   }

@@ -89,6 +89,11 @@ object PartitionTree {
     node.leafHi = node.children.map(_.leafHi).max
   }
 
+  /** Footprint in bytes of a tree's exact aggregates: per node, two bounds per
+    * dimension plus count, sum, min and max.
+    */
+  def storageBytes(root: TreeNode): Long = root.preorder.size.toLong * (2L * root.bounds.dims + 4L) * 8L
+
   /** Rolls statistics up an entire skeleton tree whose leaves are populated. */
   def rollUpTree(root: TreeNode): Unit = {
     root.children.foreach(rollUpTree)

@@ -4,8 +4,6 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.DoubleType
 
-import scala.collection.mutable
-
 /** Builds a [[PassSynopsis]] from a DataFrame with Spark doing all full-data
   * passes, per the construction pipeline of Sec 3.2/4:
   *
@@ -32,7 +30,7 @@ object PassBuilder {
   /** Interior cuts chosen from the optimization sample (e.g. AQP++ hill climbing). */
   final case class Cuts1D(choose: SortedSample1D => Array[Double]) extends Partitioner
   /** KD-PASS greedy max-variance expansion for d > 1. */
-  final case class KdGreedy(k: Int, agg: Agg = Agg.Sum, maxDepthSkew: Int = 2) extends Partitioner
+  final case class KdGreedy(k: Int, agg: Agg = Agg.Sum) extends Partitioner
   /** Balanced kd expansion (the KD-US baseline's partitioning). */
   final case class KdBalanced(k: Int) extends Partitioner
 
@@ -57,6 +55,9 @@ object PassBuilder {
       totalRows: Long,
       dataRect: Rect,
   )
+
+  /** The default size of the optimization sample. */
+  private[repro] val DefaultOptSampleSize = 4096
 
   /** Casts the relevant columns to double and computes N and the per-dimension
     * data bounding box (hi edges nudged up so the box is half-open-inclusive).
@@ -94,15 +95,12 @@ object PassBuilder {
       aggCol: String,
       partitioner: Partitioner,
       alloc: Allocation,
-      optSampleSize: Int = 4096,
-      lambda: Double = 2.576,
+      optSampleSize: Int = DefaultOptSampleSize,
       seed: Long = 42,
-      zeroVarRule: Boolean = true,
   ): BuildResult = {
     val t0 = System.nanoTime()
     val p  = prepare(df, predCols, aggCol)
-    val (synopsis, optRows) = buildPrepared(p, predCols, aggCol, partitioner, alloc,
-      optSampleSize, lambda, seed, zeroVarRule)
+    val (synopsis, optRows) = buildPrepared(p, predCols, aggCol, partitioner, alloc, optSampleSize, seed)
     BuildResult(synopsis, (System.nanoTime() - t0) / 1000000L, optRows)
   }
 
@@ -117,9 +115,7 @@ object PassBuilder {
       partitioner: Partitioner,
       alloc: Allocation,
       optSampleSize: Int,
-      lambda: Double,
       seed: Long,
-      zeroVarRule: Boolean,
   ): (PassSynopsis, Int) = {
     require(p.totalRows > 0, "cannot build a synopsis over an empty table")
     val sampleRows = optSample(p, optSampleSize, seed)
@@ -137,7 +133,7 @@ object PassBuilder {
       case Adp1D(k, agg, dm)      => cuts1D(Dp1D.adp(_, k, agg, dm).cuts)
       case EqualDepth1D(k)        => cuts1D(Dp1D.equalDepth(_, k).cuts)
       case Cuts1D(choose)         => cuts1D(choose)
-      case KdGreedy(k, agg, skew) => KdTree.buildGreedy(pts, vals, k, agg, p.dataRect, skew)
+      case KdGreedy(k, agg)       => KdTree.buildGreedy(pts, vals, k, agg, p.dataRect)
       case KdBalanced(k)          => KdTree.buildBalanced(pts, vals, k, p.dataRect)
     }
     val leaves = root.leaves.toArray // DFS order = leaf-id order
@@ -178,20 +174,16 @@ object PassBuilder {
       val sampledRows =
         if (fractions.values.forall(_ == 0.0)) Array.empty[Row]
         else withLeaf.stat.sampleBy("__leaf", fractions, seed + 1).collect()
-      val byLeaf = mutable.Map.empty[Int, (mutable.ArrayBuffer[Array[Double]], mutable.ArrayBuffer[Double])]
-      for (r <- sampledRows) {
-        val id  = r.getAs[Int]("__leaf")
-        val buf = byLeaf.getOrElseUpdate(id, (mutable.ArrayBuffer.empty, mutable.ArrayBuffer.empty))
-        buf._1 += Array.tabulate(d)(r.getDouble)
-        buf._2 += r.getDouble(d)
-      }
-      val samples = Array.tabulate(leaves.length) { id =>
-        byLeaf.get(id)
-          .map { case (cs, vs) => LeafSample(cs.toArray, vs.toArray) }
-          .getOrElse(LeafSample.empty)
-      }
+      val byLeaf = sampledRows.groupBy(_.getAs[Int]("__leaf"))
+      val samples = Array.tabulate(leaves.length)(id => byLeaf.get(id).fold(LeafSample.empty)(sampleOf(_, d)))
 
-      (new PassSynopsis(root, leaves, samples, p.totalRows, lambda, zeroVarRule), sampleRows.length)
+      (new PassSynopsis(root, leaves, samples, p.totalRows), sampleRows.length)
     } finally withLeaf.unpersist()
   }
+
+  /** The sample of collected rows whose first `d` columns are the predicate
+    * coordinates and whose column `d` is the aggregate value.
+    */
+  private[repro] def sampleOf(rows: Array[Row], d: Int): LeafSample =
+    LeafSample(rows.map(r => Array.tabulate(d)(r.getDouble)), rows.map(_.getDouble(d)))
 }

@@ -9,6 +9,15 @@ final case class Moments(ki: Int, kMatch: Int, sum: Double, sumSq: Double, min: 
   def +(o: Moments): Moments =
     Moments(ki + o.ki, kMatch + o.kMatch, sum + o.sum, sumSq + o.sumSq,
             math.min(min, o.min), math.max(max, o.max))
+
+  /** The MIN or MAX answer of every sampling synopsis: the extreme of the
+    * matching sampled rows and of `coverCount` exactly aggregated rows whose
+    * extreme is `coverExtreme`; NaN when there is neither.
+    */
+  def extreme(agg: Agg, coverCount: Long = 0L, coverExtreme: Double = Double.NaN): Double =
+    if (coverCount == 0) { if (kMatch == 0) Double.NaN else if (agg == Agg.Min) min else max }
+    else if (agg == Agg.Min) math.min(coverExtreme, min)
+    else math.max(coverExtreme, max)
 }
 
 object Moments {
@@ -17,25 +26,18 @@ object Moments {
 
   private val noRects: Array[Rect] = Array.empty
 
-  /** The PASS and ST scan of one leaf sample. The sample is sorted by
-    * dimension 0, so its rows inside `[q.lo(0), q.hi(0))` form one run, found
-    * by binary search; inside the run only dimensions 1 .. d−1 are checked
-    * (none in 1-D). `ki` is still the whole sample's size.
+  /** The one scan of a sample, sorted by dimension 0: its rows inside
+    * `[q.lo(0), q.hi(0))` form one run, found by binary search; inside the run
+    * only dimensions 1 .. d−1 are checked (none in 1-D), and rows inside a
+    * rectangle of `exclude` (AQP++'s covered nodes) are dropped. `ki` is still
+    * the whole sample's size.
     */
-  def scan(s: LeafSample, q: Rect): Moments = {
+  def scan(s: LeafSample, q: Rect, exclude: Array[Rect] = noRects): Moments = {
     val c     = s.coords
     val from  = lowerBound(c, q.lo(0))
     val until = if (q.lo(0) <= q.hi(0)) lowerBound(c, q.hi(0)) else from // NaN bound: no run
-    accumulate(c, s.values, from, until, q, 1, noRects)
+    accumulate(c, s.values, from, until, q, exclude)
   }
-
-  /** The whole-sample scan of US and AQP++/KD-US: every row `(coords(i),
-    * values(i))` inside `q` and outside each rectangle of `exclude` (AQP++'s
-    * covered nodes), every dimension checked.
-    */
-  def scan(coords: Array[Array[Double]], values: Array[Double], q: Rect,
-           exclude: Array[Rect] = noRects): Moments =
-    accumulate(coords, values, 0, values.length, q, 0, exclude)
 
   /** The first row of a dimension-0-sorted sample not below `c` (NaN rows,
     * sorted last, count as not below).
@@ -49,12 +51,12 @@ object Moments {
     lo
   }
 
-  /** The one accumulation loop: rows `from until until` that lie in `q` from
-    * dimension `firstDim` on and in no rectangle of `exclude`.
+  /** The accumulation loop: rows `from until until` that lie in `q` from
+    * dimension 1 on and in no rectangle of `exclude`.
     */
   private def accumulate(coords: Array[Array[Double]], values: Array[Double], from: Int, until: Int,
-                         q: Rect, firstDim: Int, exclude: Array[Rect]): Moments = {
-    val check = firstDim < q.dims || exclude.length > 0 // false for a 1-D run: no row is read
+                         q: Rect, exclude: Array[Rect]): Moments = {
+    val check = q.dims > 1 || exclude.length > 0 // false for a 1-D run: no row is read
     var i  = from
     var k  = 0
     var s1 = 0.0
@@ -62,7 +64,7 @@ object Moments {
     var mn = Double.PositiveInfinity
     var mx = Double.NegativeInfinity
     while (i < until) {
-      if (!check || (q.containsFrom(coords(i), firstDim) && !inAny(exclude, coords(i)))) {
+      if (!check || (q.containsFrom(coords(i), 1) && !inAny(exclude, coords(i)))) {
         val a = values(i)
         k += 1; s1 += a; s2 += a * a
         if (a < mn) mn = a
@@ -143,17 +145,19 @@ final class Stratified(agg: Agg, coverSum: Double = 0.0, coverCount: Long = 0L) 
   }
 
   /** The CLT half-width λ·se; NaN where `value` is. */
-  def ciHalf(lambda: Double): Double = agg match {
-    case Agg.Avg => if (cnt == 0) Double.NaN else lambda * math.sqrt(vsum / (cnt * cnt))
-    case _       => lambda * math.sqrt(vsum)
+  def ciHalf: Double = agg match {
+    case Agg.Avg => if (cnt == 0) Double.NaN else Stratified.Lambda * math.sqrt(vsum / (cnt * cnt))
+    case _       => Stratified.Lambda * math.sqrt(vsum)
   }
 
   /** The estimate of a synopsis without hard bounds. */
-  def estimate(lambda: Double): Estimate =
-    Estimate(value, ciHalf(lambda), processedSamples = processed)
+  def estimate: Estimate = Estimate(value, ciHalf, processedSamples = processed)
 }
 
 object Stratified {
+  /** The CI multiplier λ of every synopsis: 2.576, a 99 % interval (the paper's default). */
+  final val Lambda = 2.576
+
   /** Finite-population correction (N−K)/(N−1) (paper footnote 1). */
   def fpc(n: Long, k: Int): Double =
     if (n <= 1) 0.0 else math.max(0.0, (n - k).toDouble / (n - 1).toDouble)

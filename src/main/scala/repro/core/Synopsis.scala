@@ -1,14 +1,18 @@
 package repro.core
 
-/** The stratified sample attached to one leaf: predicate coordinates (row-major)
-  * and aggregate values for each sampled tuple, sorted by the dimension-0
-  * coordinate (NaN last). The rows of a query's dimension-0 range are then one
-  * run, which `Moments.scan` finds by binary search. Only the factory, which
-  * sorts, builds one.
+/** A stored uniform sample, the one sample format of every sampling synopsis
+  * (a PASS or ST leaf, the US or AQP++ sample): predicate coordinates
+  * (row-major) and aggregate values for each sampled tuple, sorted by the
+  * dimension-0 coordinate (NaN last). The rows of a query's dimension-0 range
+  * are then one run, which `Moments.scan` finds by binary search. Only the
+  * factory, which sorts, builds one.
   */
 final class LeafSample private (val coords: Array[Array[Double]], val values: Array[Double])
     extends Serializable {
   def size: Int = values.length
+
+  /** Footprint in bytes: d coordinates and one value per sampled tuple. */
+  def storageBytes: Long = size.toLong * (coords.headOption.fold(0)(_.length) + 1L) * 8L
 }
 object LeafSample {
   /** The sample of the given rows, stably reordered by dimension 0. */
@@ -29,7 +33,6 @@ object LeafSample {
   * @param leaves     leaf nodes indexed by leafId
   * @param samples    per-leaf stratified samples indexed by leafId
   * @param totalRows  N, the base-table cardinality
-  * @param lambda     CI multiplier (2.576 = 99%, the paper's default)
   * @param zeroVarRule whether AVG queries stop MCF early at min==max nodes
   */
 final class PassSynopsis(
@@ -37,7 +40,6 @@ final class PassSynopsis(
     val leaves: Array[TreeNode],
     val samples: Array[LeafSample],
     val totalRows: Long,
-    val lambda: Double = 2.576,
     val zeroVarRule: Boolean = true,
 ) extends Serializable {
   require(leaves.length == samples.length, "leaf/sample count mismatch")
@@ -45,11 +47,11 @@ final class PassSynopsis(
   /** Total sampled tuples stored (synopsis size accounting, BSS denominator). */
   def storedSamples: Long = samples.map(_.size.toLong).sum
 
+  /** Footprint in bytes of the sampled tuples. */
+  def sampleBytes: Long = samples.map(_.storageBytes).sum
+
   /** Synopsis footprint in bytes: tree aggregates + sampled tuples. */
-  def storageBytes: Long = {
-    val d = root.bounds.dims
-    root.preorder.size.toLong * (2L * d + 4L) * 8L + storedSamples * (d + 1L) * 8L
-  }
+  def storageBytes: Long = PartitionTree.storageBytes(root) + sampleBytes
 
   private def moments(leafId: Int, q: Rect): Moments = Moments.scan(samples(leafId), q)
 
@@ -106,12 +108,12 @@ final class PassSynopsis(
           ub += (if (n.min >= 0) n.sum else n.count * math.max(0.0, n.max))
           i += 1
         }
-        Estimate(est.value, est.ciHalf(lambda), lb, ub, est.processed, skipRate)
+        Estimate(est.value, est.ciHalf, lb, ub, est.processed, skipRate)
 
       case Agg.Count =>
         val est = estimator()
         val ub  = coverCnt.toDouble + partialCnt
-        Estimate(est.value, est.ciHalf(lambda), coverCnt.toDouble, ub, est.processed, skipRate)
+        Estimate(est.value, est.ciHalf, coverCnt.toDouble, ub, est.processed, skipRate)
 
       case Agg.Avg =>
         val est = estimator()
@@ -142,20 +144,20 @@ final class PassSynopsis(
           // exact average, which lies in [lb, ub], with the bounds as the CI
           val v = fSum / frontCnt
           Estimate(v, math.max(ub - v, v - lb), lb, ub, est.processed, skipRate)
-        } else Estimate(value, est.ciHalf(lambda), lb, ub, est.processed, skipRate)
+        } else Estimate(value, est.ciHalf, lb, ub, est.processed, skipRate)
 
       case Agg.Min =>
         val coverMin = f.cover.iterator.map(_.min).foldLeft(Double.PositiveInfinity)(math.min)
         val m        = pooledMoments(f.partial.map(_.leafId), q)
-        val est      = math.min(coverMin, m.min)
-        // the observed minimum can only overestimate the true minimum
-        Estimate(est, Double.NaN, f.partial.iterator.map(_.min).foldLeft(coverMin)(math.min), est, m.ki, skipRate)
+        // the observed minimum can only overestimate the true minimum (+∞ if none is observed)
+        Estimate(m.extreme(agg, coverCnt, coverMin), Double.NaN,
+                 f.partial.iterator.map(_.min).foldLeft(coverMin)(math.min), math.min(coverMin, m.min), m.ki, skipRate)
 
       case Agg.Max =>
         val coverMax = f.cover.iterator.map(_.max).foldLeft(Double.NegativeInfinity)(math.max)
         val m        = pooledMoments(f.partial.map(_.leafId), q)
-        val est      = math.max(coverMax, m.max)
-        Estimate(est, Double.NaN, est, f.partial.iterator.map(_.max).foldLeft(coverMax)(math.max), m.ki, skipRate)
+        Estimate(m.extreme(agg, coverCnt, coverMax), Double.NaN,
+                 math.max(coverMax, m.max), f.partial.iterator.map(_.max).foldLeft(coverMax)(math.max), m.ki, skipRate)
     }
   }
 }

@@ -32,7 +32,7 @@ class StratifiedKernelSpec extends AnyFunSuite {
   }
 
   test("US whose sample is the whole table is exact, with zero SUM/COUNT CI") {
-    val us = new UniformSampleSynopsis(cs.map(Array(_)), as, n)
+    val us = new UniformSampleSynopsis(LeafSample(cs.map(Array(_)), as), n)
     for (q <- queries(1, 40, 60); agg <- estimable) {
       val (sum, count, _, _) = TestSynopses.exactStats(cs, as, q)
       val truth = agg match {
@@ -67,7 +67,7 @@ class StratifiedKernelSpec extends AnyFunSuite {
   test("ST with one leaf answers as US on the same sample") {
     val pass = TestSynopses.build1D(cs, as, Array.empty, samplesPerLeaf = 60, seed = 4)
     val st   = new StratifiedSampleSynopsis(pass)
-    val us   = new UniformSampleSynopsis(pass.samples(0).coords, pass.samples(0).values, n)
+    val us   = new UniformSampleSynopsis(pass.samples(0), n)
     for (q <- queries(5, 40, 30); agg <- Agg.all) {
       val (s, u) = (st.answer(q, agg), us.answer(q, agg))
       assertSame(s, u, s"$agg q=$q")
@@ -79,9 +79,9 @@ class StratifiedKernelSpec extends AnyFunSuite {
     val tree = TestSynopses.build1D(cs, as, Array(20.0, 40.0, 60.0, 80.0), samplesPerLeaf = 1).root
     val rnd  = new scala.util.Random(6)
     val pick = rnd.shuffle(cs.indices.toVector).take(200).toArray
-    val (sc, sv) = (pick.map(i => Array(cs(i))), pick.map(as))
-    val aqp = new PrecompUniformSynopsis(tree, sc, sv, n)
-    val us  = new UniformSampleSynopsis(sc, sv, n)
+    val sample = LeafSample(pick.map(i => Array(cs(i))), pick.map(as))
+    val aqp    = new PrecompUniformSynopsis(tree, sample, n)
+    val us     = new UniformSampleSynopsis(sample, n)
     val qs  = queries(7, 60, 15).filter(coversNothing(tree, _))
     assert(qs.size > 30)
     for (q <- qs; agg <- estimable) {
@@ -89,5 +89,22 @@ class StratifiedKernelSpec extends AnyFunSuite {
       assertSame(a, u, s"$agg q=$q")
       assert(a.processedSamples == u.processedSamples)
     }
+  }
+
+  test("AQP++ MIN/MAX with no covered row and no matching sampled row is NaN, as US") {
+    val root   = TestSynopses.build1D(cs, as, Array(20.0, 40.0, 60.0, 80.0), samplesPerLeaf = 1).root
+    val sample = LeafSample(Array(Array(10.0), Array(70.0)), Array(1.0, 2.0))
+    val aqp    = new PrecompUniformSynopsis(root, sample, n)
+    val us     = new UniformSampleSynopsis(sample, n)
+    // inside leaf [20, 40) but away from both sampled rows, and outside the data
+    for (q <- Seq(Rect.range(30, 31), Rect.range(200, 300)); agg <- Seq(Agg.Min, Agg.Max)) {
+      val (a, u) = (aqp.answer(q, agg), us.answer(q, agg))
+      assert(a.value.isNaN && u.value.isNaN, s"$agg q=$q: AQP++ ${a.value}, US ${u.value}")
+      assert(a.lb.isNaN && a.ub.isNaN && a.processedSamples == 2)
+    }
+    // a covered leaf still answers with its exact extreme
+    val leaf = root.leaves.toArray.apply(1) // [20, 40)
+    assert(aqp.answer(leaf.bounds, Agg.Min).value == leaf.min)
+    assert(aqp.answer(leaf.bounds, Agg.Max).value == leaf.max)
   }
 }

@@ -50,7 +50,7 @@ class KdTreeSpec extends AnyFunSuite {
   for (agg <- Seq(Agg.Sum, Agg.Avg, Agg.Count); seed <- 0 until 2) {
     test(s"greedy kd expansion respects k and depth skew ($agg seed=$seed)") {
       val (pts, vals) = randPoints(800, 2, seed + 10)
-      val root        = KdTree.buildGreedy(pts, vals, k = 32, agg, rootRect(2), maxDepthSkew = 2)
+      val root        = KdTree.buildGreedy(pts, vals, k = 32, agg, rootRect(2))
       assert(root.leaves.size <= 32)
       val depths = leafDepths(root)
       assert(depths.max - depths.min <= 2, s"depth skew ${depths.max - depths.min} > 2")

@@ -5,9 +5,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSupport
 import repro.bench.GroundTruth
 
-/** The sorted leaf sample and its two scans (`Moments.scan`): the dim-0 run
-  * scan of PASS/ST against a brute-force scan of the same rows, and NaN
-  * coordinates under both the run scan and the whole-sample scan.
+/** The sorted leaf sample and its one scan (`Moments.scan`): the dim-0 run
+  * scan against a brute-force scan of the same rows, NaN coordinates, and
+  * excluded rectangles.
   */
 class LeafScanSpec extends AnyFunSuite with PropSupport {
 
@@ -88,7 +88,7 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
     }, minSuccessful = 200)
   }
 
-  test("a NaN coordinate lies in no range under either scan, nor in the exact answers") {
+  test("a NaN coordinate lies in no range of the scan nor of the exact answers") {
     val big = 1e9 // the value of every row with a NaN coordinate
     val probes1 = Seq(Rect.range(Double.NegativeInfinity, Double.PositiveInfinity),
                       Rect.range(0, 5), Rect.range(Double.NegativeInfinity, 0), Rect.range(2, Double.PositiveInfinity))
@@ -99,9 +99,8 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
       val s = LeafSample(cs, vs)
       val probes = probes1.map(p => Rect(Array.fill(d)(p.lo(0)), Array.fill(d)(p.hi(0))))
       for (q <- probes) {
-        val want = bruteForce(s, q)
-        for ((how, m) <- Seq("run" -> Moments.scan(s, q), "whole" -> Moments.scan(cs, vs, q)))
-          assert(m.kMatch == want.kMatch && m.max < big, s"$how d=$d nanDim=$nanDim q=$q: $m")
+        val (m, want) = (Moments.scan(s, q), bruteForce(s, q))
+        assert(m.kMatch == want.kMatch && m.max < big, s"d=$d nanDim=$nanDim q=$q: $m")
         assert(!cs.exists(x => x(nanDim).isNaN && q.contains(x)))
       }
       val colMajor = Array.tabulate(d)(j => cs.map(_(j)))
@@ -112,14 +111,15 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
     }
   }
 
-  test("the whole-sample scan with excluded rectangles drops exactly the rows inside them") {
+  test("the scan with excluded rectangles drops exactly the rows inside them") {
     val rnd      = new scala.util.Random(5)
     val (cs, vs) = rows(rnd, 200, 2)
     val q        = Rect(Array(-1.0, 0.0), Array(7.0, 6.0))
     val holes    = Array(Rect(Array(0.0, 1.0), Array(3.0, 4.0)), Rect(Array(5.0, 0.0), Array(9.0, 2.0)))
-    val m        = Moments.scan(cs, vs, q, holes)
-    val kept     = cs.indices.filter(i => q.contains(cs(i)) && !holes.exists(_.contains(cs(i))))
+    val s        = LeafSample(cs, vs)
+    val m        = Moments.scan(s, q, holes)
+    val kept     = (0 until s.size).filter(i => q.contains(s.coords(i)) && !holes.exists(_.contains(s.coords(i))))
     assert(m.ki == 200 && m.kMatch == kept.size && kept.size > 0)
-    assert(m.sum == kept.map(vs).foldLeft(0.0)(_ + _))
+    assert(m.sum == kept.map(s.values).foldLeft(0.0)(_ + _))
   }
 }

@@ -145,6 +145,23 @@ class SynopsisSpec extends AnyFunSuite {
     assert(math.abs(est.value - truth) <= est.ciHalf, s"truth $truth outside ${est.value} ± ${est.ciHalf}")
   }
 
+  test("MIN/MAX with no covered row and no matching sampled row is NaN, bounds kept") {
+    val (cs, as) = TestSynopses.genData(400, 3)
+    val syn = TestSynopses.build1D(cs, as, Array(25.0, 50.0, 75.0), samplesPerLeaf = 1, seed = 4)
+    val sampled = syn.samples.flatMap(_.coords.map(_(0)))
+    val c    = cs.find(x => x > 30 && x < 45 && sampled.forall(s => math.abs(s - x) > 0.5)).get
+    val leaf = syn.leaves(1) // [25, 50)
+    // a narrow query inside that leaf, and one outside the data
+    for ((q, partial) <- Seq(Rect.range(c - 0.1, c + 0.1) -> true, Rect.range(200, 300) -> false)) {
+      val (mn, mx) = (syn.answer(q, Agg.Min), syn.answer(q, Agg.Max))
+      assert(mn.value.isNaN && mx.value.isNaN, s"q=$q: MIN ${mn.value}, MAX ${mx.value}")
+      // the observed extreme bounds one side (none observed: ±∞), the frontier's the other
+      assert(mn.ub == Double.PositiveInfinity && mx.lb == Double.NegativeInfinity, s"q=$q")
+      if (partial) assert(mn.lb == leaf.min && mx.ub == leaf.max, s"q=$q")
+      else assert(mn.lb == Double.PositiveInfinity && mx.ub == Double.NegativeInfinity, s"q=$q")
+    }
+  }
+
   test("0-variance rule gives exact AVG value contribution with zero CI term") {
     // constant values everywhere: AVG must be exact whatever the predicate
     val n   = 500

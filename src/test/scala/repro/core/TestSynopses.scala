@@ -28,8 +28,7 @@ object TestSynopses {
     * every estimate exact).
     */
   def build1D(cs: Array[Double], as: Array[Double], cuts: Array[Double],
-              samplesPerLeaf: Int, seed: Long = 1, lambda: Double = 2.576,
-              zeroVarRule: Boolean = true): PassSynopsis = {
+              samplesPerLeaf: Int, seed: Long = 1, zeroVarRule: Boolean = true): PassSynopsis = {
     val root   = PartitionTree.build1D(cuts, Rect.range(cs.min, Math.nextUp(cs.max)))
     val leaves = root.leaves.toArray
     for (n <- leaves) {
@@ -45,7 +44,7 @@ object TestSynopses {
         else rnd.shuffle(idx.toSeq).take(samplesPerLeaf).toArray
       LeafSample(chosen.map(i => Array(cs(i))), chosen.map(as))
     }
-    new PassSynopsis(root, leaves, samples, cs.length.toLong, lambda, zeroVarRule)
+    new PassSynopsis(root, leaves, samples, cs.length.toLong, zeroVarRule)
   }
 
   /** Deterministic random (c, a) data with region-dependent value scales so
