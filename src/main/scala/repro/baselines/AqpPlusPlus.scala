@@ -115,18 +115,17 @@ object AqpPlusPlus {
                 totalSamples: Long, seed: Long = 42): (PrecompUniformSynopsis, Long) =
     precompUniform(df, predCols, aggCol, PassBuilder.KdBalanced(leaves), totalSamples, seed)
 
-  /** Aggregates-only PASS build plus the US sample drawn from the same
-    * prepared projection: four scans of the table.
+  /** Aggregates-only PASS build plus a uniform sample of min(`totalSamples`,
+    * N) rows drawn in the same first scan: two scans of the table.
     */
   private def precompUniform(df: DataFrame, predCols: Seq[String], aggCol: String,
                              partitioner: PassBuilder.Partitioner, totalSamples: Long,
                              seed: Long): (PrecompUniformSynopsis, Long) = {
-    val t0 = System.nanoTime()
-    val p  = PassBuilder.prepare(df, predCols, aggCol)
-    val (pass, _) = PassBuilder.buildPrepared(p, predCols, aggCol, partitioner, PassBuilder.PerLeaf(0),
-      PassBuilder.DefaultOptSampleSize, seed)
-    val us  = UniformSampling.draw(p, totalSamples.toInt, seed + 13)
-    val syn = new PrecompUniformSynopsis(pass.root, us.sample, p.totalRows)
+    require(totalSamples >= 1, s"sample size $totalSamples must be at least 1")
+    val t0   = System.nanoTime()
+    val p    = PassBuilder.prepare(df, predCols, aggCol, seed, uniformSize = totalSamples.toInt)
+    val pass = PassBuilder.buildPrepared(p, partitioner, PassBuilder.PerLeaf(0), seed)
+    val syn  = new PrecompUniformSynopsis(pass.root, p.uniform, p.totalRows)
     (syn, (System.nanoTime() - t0) / 1000000L)
   }
 }

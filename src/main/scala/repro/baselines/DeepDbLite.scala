@@ -261,7 +261,7 @@ object DeepDbLite {
   def build(df: DataFrame, predCols: Seq[String], aggCol: String, sampleRatio: Double,
             seed: Long = 42): (DeepDbLiteSynopsis, Long) = {
     val t0   = System.nanoTime()
-    val p    = PassBuilder.prepare(df, predCols, aggCol)
+    val p    = PassBuilder.prepare(df, predCols, aggCol, optSampleSize = 0)
     val raw  = p.projected.sample(withReplacement = false, math.min(1.0, sampleRatio), seed).collect()
     val d    = predCols.length
     val mat  = raw.map(r => Array.tabulate(d + 1)(r.getDouble))

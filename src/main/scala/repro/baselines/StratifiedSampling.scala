@@ -6,8 +6,8 @@ import repro.core._
 /** The ST baseline (Sec 2.2): B equal-depth strata, K/B uniform samples each.
   * Unlike PASS there are no exact partition aggregates — every stratum that
   * overlaps the predicate is estimated from its sample, including fully
-  * covered ones. Strata counts and samples are built with the same Spark
-  * pipeline as PASS (groupBy + sampleBy) via [[repro.core.PassBuilder]].
+  * covered ones. Strata counts and samples come from the same two Spark scans
+  * as PASS (exactly min(K/B, N_i) rows per stratum) via [[repro.core.PassBuilder]].
   */
 final class StratifiedSampleSynopsis(private val pass: PassSynopsis) extends Serializable {
   def totalRows: Long     = pass.totalRows

@@ -26,20 +26,12 @@ final class UniformSampleSynopsis(val sample: LeafSample, val totalRows: Long) e
 }
 
 object UniformSampling {
-  /** Draws K uniform samples with one Spark pass and collects them. */
+  /** Draws min(K, N) uniform samples in one Spark scan and collects them. */
   def build(df: DataFrame, predCols: Seq[String], aggCol: String, k: Int,
             seed: Long = 42): (UniformSampleSynopsis, Long) = {
-    val t0  = System.nanoTime()
-    val syn = draw(PassBuilder.prepare(df, predCols, aggCol), k, seed)
-    (syn, (System.nanoTime() - t0) / 1000000L)
-  }
-
-  /** The sampling pass of [[build]] over an already prepared projection. */
-  private[repro] def draw(p: PassBuilder.Prepared, k: Int, seed: Long): UniformSampleSynopsis = {
     require(k >= 1, s"sample size $k must be at least 1")
-    val n    = p.totalRows
-    val frac = if (n == 0) 0.0 else math.min(1.0, k.toDouble / n)
-    val rows = p.projected.sample(withReplacement = false, frac, seed).collect()
-    new UniformSampleSynopsis(PassBuilder.sampleOf(rows, p.dataRect.dims), n)
+    val t0 = System.nanoTime()
+    val p  = PassBuilder.prepare(df, predCols, aggCol, seed, optSampleSize = 0, uniformSize = k)
+    (new UniformSampleSynopsis(p.uniform, p.totalRows), (System.nanoTime() - t0) / 1000000L)
   }
 }

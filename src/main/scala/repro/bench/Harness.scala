@@ -25,30 +25,40 @@ object Harness {
     else (v(v.length / 2 - 1) + v(v.length / 2)) / 2
   }
 
+  /** The timed repetitions of the whole query list run at least this long. */
+  private val MinTimedNanos = 50L * 1000 * 1000
+
+  /** Keeps the timed answers observable, so the JIT cannot drop them. */
+  @volatile private[bench] var sink = 0.0
+
+  /** Scores `answer` on `queries`. The accuracy metrics and `maxLatencyMs`
+    * come from one pass with a clock pair per query; `meanLatencyMs` is the
+    * time of R further passes over the whole list divided by R times its
+    * length, R chosen so the passes take at least 50 ms: a µs-scale answer is
+    * then not timed by one clock pair of its own.
+    */
   def evaluate(answer: (Rect, Agg) => Estimate, gt: GroundTruth,
                queries: Array[Rect], agg: Agg): RunMetrics = {
     val relErrs  = Array.newBuilder[Double]
     val ciRatios = Array.newBuilder[Double]
-    var latSum   = 0.0
+    var passNs   = 0L
     var latMax   = 0.0
     var skipSum  = 0.0
     var procSum  = 0.0
     var covered  = 0
     var ciTotal  = 0
-    var scored   = 0
     // JIT warmup so the first measured query does not carry compilation cost
     for (q <- queries.take(10)) answer(q, agg)
     for (q <- queries) {
       val truth = gt.answer(q, agg)
       val t0    = System.nanoTime()
       val est   = answer(q, agg)
-      val ms    = (System.nanoTime() - t0) / 1e6
-      latSum += ms
-      latMax = math.max(latMax, ms)
+      val ns    = System.nanoTime() - t0
+      passNs += ns
+      latMax = math.max(latMax, ns / 1e6)
       skipSum += est.skipRate
       procSum += est.processedSamples.toDouble
       if (!truth.isNaN && truth != 0.0) {
-        scored += 1
         relErrs += math.abs(est.value - truth) / math.abs(truth)
         if (!est.ciHalf.isNaN) {
           ciRatios += est.ciHalf / math.abs(truth)
@@ -57,10 +67,21 @@ object Harness {
         }
       }
     }
+    val reps = math.max(1L, MinTimedNanos / math.max(1L, passNs)).toInt
+    var acc  = 0.0
+    val t0   = System.nanoTime()
+    var r    = 0
+    while (r < reps) {
+      var i = 0
+      while (i < queries.length) { acc += answer(queries(i), agg).value; i += 1 }
+      r += 1
+    }
+    val timedNs = System.nanoTime() - t0
+    sink = acc
     RunMetrics(
       medianRelErr = median(relErrs.result().toSeq),
       medianCiRatio = median(ciRatios.result().toSeq),
-      meanLatencyMs = latSum / math.max(1, queries.length),
+      meanLatencyMs = timedNs / 1e6 / math.max(1L, reps.toLong * queries.length),
       maxLatencyMs = latMax,
       meanSkipRate = skipSum / math.max(1, queries.length),
       meanProcessed = procSum / math.max(1, queries.length),

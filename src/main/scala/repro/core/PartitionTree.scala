@@ -59,7 +59,7 @@ object PartitionTree {
     * binary tree is the `d = 1` case), so child `2^j`'s lower edge in `j` is
     * the split. A point inside the root box reaches the leaf whose box contains
     * it; a point on a split goes to the upper side; a point outside the box, or
-    * NaN, goes to a boundary leaf.
+    * NaN, goes to a boundary leaf (the builder drops NaN rows before routing).
     */
   def leafOf(root: TreeNode, x: Array[Double]): Int = {
     var node = root

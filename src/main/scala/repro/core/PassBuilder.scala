@@ -1,23 +1,28 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
+import scala.reflect.ClassTag
+
+import org.apache.spark.TaskContext
+import org.apache.spark.sql.{DataFrame, Encoders, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.DoubleType
 
-/** Builds a [[PassSynopsis]] from a DataFrame with Spark doing all full-data
-  * passes, per the construction pipeline of Sec 3.2/4:
+/** Builds a [[PassSynopsis]] from a DataFrame with two Spark scans, per the
+  * construction pipeline of Sec 3.2/4:
   *
-  *  1. one pass for cardinality and per-column extrema,
-  *  2. a small uniform *optimization sample* collected to the driver, over
-  *     which the partitioning optimizer (ADP / equal-depth / kd) runs,
-  *  3. one `groupBy(leafId).agg(sum,count,min,max)` shuffle for the exact
-  *     partition aggregates,
-  *  4. one `stat.sampleBy(leafId, fractions)` pass for the per-leaf stratified
-  *     samples (skipped when no leaf gets a sample).
+  *  1. `prepare`: one scan for N, the per-dimension extrema and a uniform
+  *     *optimization sample* (a bottom-k priority reservoir per task, merged
+  *     on the Spark driver), over which the partitioning optimizer (ADP /
+  *     equal-depth / kd) runs there;
+  *  2. one routed scan: each task sends its rows down the partition-tree
+  *     skeleton (`PartitionTree.leafOf`) and keeps per-leaf exact
+  *     COUNT/SUM/MIN/MAX plus a per-leaf priority reservoir (`LeafStats`);
+  *     the Spark driver merges the tasks' results and rolls the leaf
+  *     aggregates up the tree.
   *
-  * Every partitioner returns a partition-tree skeleton. A row's leaf id is a
-  * deterministic UDF over the predicate columns that routes the row down that
-  * tree (`PartitionTree.leafOf`); the leaf aggregates are then rolled up the tree.
+  * Both scans are Dataset actions (`mapPartitions` + `collect`) with no
+  * shuffle. Rows with a null or NaN predicate coordinate or a null aggregate
+  * value are left out of both and counted.
   */
 object PassBuilder {
 
@@ -34,59 +39,92 @@ object PassBuilder {
   /** Balanced kd expansion (the KD-US baseline's partitioning). */
   final case class KdBalanced(k: Int) extends Partitioner
 
-  /** How many stratified samples each leaf receives. */
+  /** How many stratified samples each leaf receives; leaf i of N_i rows. */
   sealed trait Allocation extends Product with Serializable
-  /** ESS-style: a fixed count per leaf (the per-query processed-tuple control). */
+  /** ESS-style: exactly min(n, N_i) per leaf (the per-query processed-tuple control). */
   final case class PerLeaf(n: Int) extends Allocation
-  /** BSS-style: a total budget split equally across leaves. */
+  /** BSS-style: a total budget split equally, min(max(1, total / leaves), N_i) per leaf. */
   final case class TotalBudget(total: Long) extends Allocation
-  /** Proportional: uniform within-stratum sampling rate. */
+  /** Proportional: each row with probability `rate`, topped up to min(2, N_i) per leaf. */
   final case class Rate(rate: Double) extends Allocation
 
-  /** Construction output plus cost accounting for the paper's tables. */
+  /** Construction output plus cost accounting for the paper's tables.
+    * `droppedRows` counts the rows left out of the synopsis: a null or NaN
+    * predicate coordinate, or a null aggregate value.
+    */
   final case class BuildResult(
       synopsis: PassSynopsis,
       buildMillis: Long,
       optSampleSize: Int,
+      droppedRows: Long,
   )
 
+  /** The projection to double columns and what the first scan found over its
+    * kept rows: N, the data box, the optimization sample in priority order
+    * (`optCoords`, `optValues`) and the uniform sample.
+    */
   private[repro] final case class Prepared(
       projected: DataFrame,
       totalRows: Long,
+      droppedRows: Long,
       dataRect: Rect,
+      optCoords: Array[Array[Double]],
+      optValues: Array[Double],
+      uniform: LeafSample,
   )
 
   /** The default size of the optimization sample. */
   private[repro] val DefaultOptSampleSize = 4096
 
-  /** Casts the relevant columns to double and computes N and the per-dimension
-    * data bounding box (hi edges nudged up so the box is half-open-inclusive).
+  /** The first scan. Casts the relevant columns to double and, in one pass
+    * over the rows it keeps, computes N, the per-dimension data bounding box
+    * (hi edges nudged up so the box is half-open-inclusive), a uniform
+    * optimization sample of min(`optSampleSize`, N) rows and a uniform sample
+    * of min(`uniformSize`, N) rows with independent priorities.
     */
-  private[repro] def prepare(df: DataFrame, predCols: Seq[String], aggCol: String): Prepared = {
+  private[repro] def prepare(df: DataFrame, predCols: Seq[String], aggCol: String, seed: Long = 42,
+                             optSampleSize: Int = DefaultOptSampleSize, uniformSize: Int = 0): Prepared = {
     val cols      = (predCols :+ aggCol).map(c => col(c).cast(DoubleType).as(c))
     val projected = df.select(cols: _*)
-    val aggs = predCols.flatMap(c => Seq(min(col(c)).as(s"min_$c"), max(col(c)).as(s"max_$c"))) :+
-      count(lit(1)).as("n")
-    val row = projected.agg(aggs.head, aggs.tail: _*).collect()(0)
-    val n   = row.getAs[Long]("n")
-    val lo  = predCols.map(c => row.getAs[Double](s"min_$c")).toArray
-    val hi  = predCols.map(c => Math.nextUp(row.getAs[Double](s"max_$c"))).toArray
-    Prepared(projected, n, Rect(lo, hi))
+    val d         = predCols.length
+    val t         = scan(projected, d)(part => new TableStats(d, optSampleSize, uniformSize, seed, part))
+    val (xs, vs)  = t.opt.smallest()
+    Prepared(projected, t.rows, t.dropped, Rect(t.lo, t.hi.map(Math.nextUp)), xs, vs, t.uniform.toSample)
   }
 
-  /** Collects a uniform optimization sample of ~`target` rows to the driver.
-    * Oversampled collections are thinned by stride, not prefix — collect order
-    * follows the data order, so `take(target)` would drop the range's tail and
-    * bias every downstream cut.
+  /** The first `target` rows of `p`'s optimization sample (a uniform sample
+    * of that many rows), with the value after the coordinates. `prepare` drew
+    * the sample, so `seed` is not used.
     */
-  private[repro] def optSample(p: Prepared, target: Int, seed: Long): Array[Row] = {
-    val frac = if (p.totalRows == 0) 1.0 else math.min(1.0, target * 1.2 / p.totalRows)
-    val rows = p.projected.sample(withReplacement = false, frac, seed).collect()
-    if (rows.length <= target) rows
-    else {
-      val step = rows.length.toDouble / target
-      Array.tabulate(target)(i => rows((i * step).toInt))
+  private[repro] def optSample(p: Prepared, target: Int, seed: Long): Array[Row] =
+    Array.tabulate(math.min(target, p.optValues.length)) { i =>
+      Row.fromSeq(p.optCoords(i).toSeq :+ p.optValues(i))
     }
+
+  /** One Spark scan of `projected`, a Dataset action so the SQL listener sees
+    * it. Each task feeds its rows to a fresh `sink(partition id)`; a row with
+    * a null field is dropped. The tasks' sinks are merged in partition order,
+    * so the same input and seed give the same result.
+    */
+  private def scan[S <: RowSink[S]: ClassTag](projected: DataFrame, d: Int)(sink: Int => S): S = {
+    val parts = projected.mapPartitions { rows =>
+      val s = sink(TaskContext.getPartitionId())
+      val x = new Array[Double](d)
+      rows.foreach { r =>
+        var j = 0
+        while (j <= d && !r.isNullAt(j)) j += 1
+        if (j <= d) s.drop()
+        else {
+          j = 0
+          while (j < d) { x(j) = r.getDouble(j); j += 1 }
+          s.offer(x, r.getDouble(d))
+        }
+      }
+      Iterator.single(s)
+    }(Encoders.javaSerialization[S]).collect()
+    val all = parts.headOption.getOrElse(sink(0))
+    parts.iterator.drop(1).foreach(all.merge)
+    all
   }
 
   def build(
@@ -99,91 +137,47 @@ object PassBuilder {
       seed: Long = 42,
   ): BuildResult = {
     val t0 = System.nanoTime()
-    val p  = prepare(df, predCols, aggCol)
-    val (synopsis, optRows) = buildPrepared(p, predCols, aggCol, partitioner, alloc, optSampleSize, seed)
-    BuildResult(synopsis, (System.nanoTime() - t0) / 1000000L, optRows)
+    val p  = prepare(df, predCols, aggCol, seed, optSampleSize)
+    val synopsis = buildPrepared(p, partitioner, alloc, seed)
+    BuildResult(synopsis, (System.nanoTime() - t0) / 1000000L, p.optValues.length, p.droppedRows)
   }
 
-  /** [[build]] over an already prepared projection; also returns the size of
-    * the optimization sample. Callers that need another pass over the same
-    * projection (AQP++'s uniform sample) share its `prepare`.
+  /** [[build]] after its first scan: the partitioning optimization over the
+    * optimization sample, then the second scan. Callers that need a uniform
+    * sample too (AQP++, KD-US) draw it in the same `prepare`.
     */
-  private[repro] def buildPrepared(
-      p: Prepared,
-      predCols: Seq[String],
-      aggCol: String,
-      partitioner: Partitioner,
-      alloc: Allocation,
-      optSampleSize: Int,
-      seed: Long,
-  ): (PassSynopsis, Int) = {
+  private[repro] def buildPrepared(p: Prepared, partitioner: Partitioner, alloc: Allocation,
+                                   seed: Long): PassSynopsis = {
     require(p.totalRows > 0, "cannot build a synopsis over an empty table")
-    val sampleRows = optSample(p, optSampleSize, seed)
-    val d          = predCols.length
+    val d = p.dataRect.dims
 
     // ---- partitioning optimization (driver, over the optimization sample) ----
     def cuts1D(choose: SortedSample1D => Array[Double]): TreeNode = {
       require(d == 1, s"partitioner $partitioner incompatible with d=$d")
-      val s = SortedSample1D(sampleRows.map(_.getDouble(0)), sampleRows.map(_.getDouble(1)))
-      PartitionTree.build1D(choose(s), p.dataRect)
+      PartitionTree.build1D(choose(SortedSample1D(p.optCoords.map(_(0)), p.optValues)), p.dataRect)
     }
-    lazy val pts  = sampleRows.map(r => Array.tabulate(d)(r.getDouble))
-    lazy val vals = sampleRows.map(_.getDouble(d))
     val root = partitioner match {
       case Adp1D(k, agg, dm)      => cuts1D(Dp1D.adp(_, k, agg, dm).cuts)
       case EqualDepth1D(k)        => cuts1D(Dp1D.equalDepth(_, k).cuts)
       case Cuts1D(choose)         => cuts1D(choose)
-      case KdGreedy(k, agg)       => KdTree.buildGreedy(pts, vals, k, agg, p.dataRect)
-      case KdBalanced(k)          => KdTree.buildBalanced(pts, vals, k, p.dataRect)
+      case KdGreedy(k, agg)       => KdTree.buildGreedy(p.optCoords, p.optValues, k, agg, p.dataRect)
+      case KdBalanced(k)          => KdTree.buildBalanced(p.optCoords, p.optValues, k, p.dataRect)
     }
     val leaves = root.leaves.toArray // DFS order = leaf-id order
 
-    // ---- full-data passes: aggregates + stratified samples --------------------
-    val leafUdf = udf((xs: Seq[Double]) => PartitionTree.leafOf(root, xs.toArray))
-    val withLeaf = p.projected
-      .withColumn("__leaf", leafUdf(array(predCols.map(col): _*)))
-      .persist()
-    try {
-      val statRows = withLeaf
-        .groupBy("__leaf")
-        .agg(
-          count(col(aggCol)).as("cnt"),
-          sum(col(aggCol)).as("sm"),
-          min(col(aggCol)).as("mn"),
-          max(col(aggCol)).as("mx"),
-        )
-        .collect()
-      for (r <- statRows) {
-        val l = leaves(r.getAs[Int]("__leaf"))
-        l.count = r.getAs[Long]("cnt"); l.sum = r.getAs[Double]("sm")
-        l.min = r.getAs[Double]("mn"); l.max = r.getAs[Double]("mx")
-      }
-      PartitionTree.rollUpTree(root)
-
-      val targets: Map[Int, Long] = alloc match {
-        case PerLeaf(n)        => leaves.map(l => l.leafId -> n.toLong).toMap
-        case TotalBudget(t)    => leaves.map(l => l.leafId -> math.max(1L, t / leaves.length)).toMap
-        case Rate(r)           => leaves.map(l => l.leafId -> math.max(1L, math.round(r * l.count))).toMap
-      }
-      val fractions: Map[Int, Double] = leaves.map { l =>
-        val ni = l.count
-        l.leafId -> (if (ni == 0) 0.0 else math.min(1.0, targets(l.leafId).toDouble / ni))
-      }.toMap
-
-      // no leaf gets a sample (aggregates-only synopses): skip the pass
-      val sampledRows =
-        if (fractions.values.forall(_ == 0.0)) Array.empty[Row]
-        else withLeaf.stat.sampleBy("__leaf", fractions, seed + 1).collect()
-      val byLeaf = sampledRows.groupBy(_.getAs[Int]("__leaf"))
-      val samples = Array.tabulate(leaves.length)(id => byLeaf.get(id).fold(LeafSample.empty)(sampleOf(_, d)))
-
-      (new PassSynopsis(root, leaves, samples, p.totalRows), sampleRows.length)
-    } finally withLeaf.unpersist()
+    // ---- the second scan: exact leaf aggregates + per-leaf samples ----------
+    val (perLeaf, rate) = alloc match {
+      case PerLeaf(n)     => (n, 0.0)
+      case TotalBudget(t) => (math.max(1L, t / leaves.length).toInt, 0.0)
+      case Rate(r)        => (2, r)
+    }
+    val n = leaves.length
+    val s = scan(p.projected, d)(part => new LeafStats(root, n, d, perLeaf, rate, seed, part))
+    for (l <- leaves) {
+      val id = l.leafId
+      l.count = s.count(id); l.sum = s.sum(id); l.min = s.min(id); l.max = s.max(id)
+    }
+    PartitionTree.rollUpTree(root)
+    new PassSynopsis(root, leaves, Array.tabulate(n)(s.sample), p.totalRows)
   }
-
-  /** The sample of collected rows whose first `d` columns are the predicate
-    * coordinates and whose column `d` is the aggregate value.
-    */
-  private[repro] def sampleOf(rows: Array[Row], d: Int): LeafSample =
-    LeafSample(rows.map(r => Array.tabulate(d)(r.getDouble)), rows.map(_.getDouble(d)))
 }

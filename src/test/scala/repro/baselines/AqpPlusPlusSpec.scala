@@ -149,17 +149,27 @@ class AqpPlusPlusSpec extends SparkSpec {
     l.synchronized(l.rows)
   }
 
-  test("AQP++ and KD-US builds read the table four times") {
+  test("AQP++ and KD-US builds read the table twice") {
     val n = df.count()
-    // prepare, optimization sample, partition aggregates, uniform sample
+    // prepare (with the uniform sample), then the routed scan for the partition aggregates
     val aqp = scannedRows {
       AqpPlusPlus.build(df, Seq("pickup_datetime"), "trip_distance", partitions = 16, totalSamples = 500)
     }
-    assert(aqp == 4 * n, s"AQP++ read $aqp rows, N = $n")
+    assert(aqp == 2 * n, s"AQP++ read $aqp rows, N = $n")
     val kdUs = scannedRows {
       AqpPlusPlus.buildKdUs(df, Seq("pickup_time", "pickup_date"), "trip_distance", leaves = 16,
         totalSamples = 500)
     }
-    assert(kdUs == 4 * n, s"KD-US read $kdUs rows, N = $n")
+    assert(kdUs == 2 * n, s"KD-US read $kdUs rows, N = $n")
+  }
+
+  test("US and PASS builds read the table once and twice") {
+    val n  = df.count()
+    val us = scannedRows(UniformSampling.build(df, Seq("pickup_datetime"), "trip_distance", k = 500))
+    assert(us == n, s"US read $us rows, N = $n")
+    val pass = scannedRows {
+      PassBuilder.build(df, Seq("pickup_datetime"), "trip_distance", PassBuilder.Adp1D(16), PassBuilder.Rate(0.05))
+    }
+    assert(pass == 2 * n, s"PASS read $pass rows, N = $n")
   }
 }

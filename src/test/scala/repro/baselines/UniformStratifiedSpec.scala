@@ -23,10 +23,12 @@ class UniformStratifiedSpec extends SparkSpec {
     }
   }
 
-  test("US build draws approximately K samples") {
+  test("US build draws exactly min(K, N) samples") {
     val (syn, _) = UniformSampling.build(df, Seq("time"), "light", k = 2000, seed = 5)
-    assert(math.abs(syn.k - 2000) < 400, s"got ${syn.k}")
+    assert(syn.k == math.min(2000, gt.n), s"got ${syn.k}")
     assert(syn.totalRows == gt.n)
+    val (all, _) = UniformSampling.build(df, Seq("time"), "light", k = gt.n + 10, seed = 5)
+    assert(all.k == gt.n)
   }
 
   for (agg <- Seq(Agg.Sum, Agg.Count, Agg.Avg)) {
@@ -85,6 +87,17 @@ class UniformStratifiedSpec extends SparkSpec {
       val a = rnd.nextDouble() * 500
       Rect.range(a, a + 1000 + rnd.nextDouble() * 8000)
     }
+  }
+
+  test("US and AQP++ leave out rows with a null value or a NaN or null coordinate") {
+    import spark.implicits._
+    val rows = (Seq.tabulate(500)(i => (Option(i.toDouble), Option(i % 9 * 1.0))) ++
+      Seq((Some(Double.NaN), Some(1.0)), (None, Some(1.0)), (Some(7.5), None))).toDF("x", "v")
+    val (us, _) = UniformSampling.build(rows, Seq("x"), "v", k = 1000)
+    assert(us.k == 500 && us.totalRows == 500)
+    assert(!us.sample.values.exists(_.isNaN) && !us.sample.coords.exists(_(0).isNaN))
+    val (aqp, _) = AqpPlusPlus.build(rows, Seq("x"), "v", partitions = 4, totalSamples = 100)
+    assert(aqp.totalRows == 500 && aqp.root.count == 500 && aqp.sample.size == 100)
   }
 
   test("US rejects a sample size below 1") {

@@ -5,8 +5,8 @@ import repro.{Oracle, SparkSpec}
 import repro.bench.GroundTruth
 import repro.data.Datasets
 
-/** End-to-end Spark construction tests: the groupBy/agg partition statistics
-  * and sampleBy stratified samples must be internally consistent, DuckDB-
+/** End-to-end Spark construction tests: the routed scan's partition
+  * statistics and per-leaf reservoirs must be internally consistent, DuckDB-
   * verified, and the resulting synopsis accurate.
   */
 class PassBuilderSpec extends SparkSpec {
@@ -66,11 +66,25 @@ class PassBuilderSpec extends SparkSpec {
     }
   }
 
-  test("TotalBudget allocation splits the budget roughly equally") {
+  test("Rate allocation keeps at least min(2, N_i) rows per leaf") {
+    val syn = buildAdp(k = 32, rate = 0.0005).synopsis
+    for (l <- syn.leaves)
+      assert(syn.samples(l.leafId).size >= math.min(2L, l.count), s"leaf ${l.leafId}: N_i = ${l.count}")
+  }
+
+  test("TotalBudget allocation keeps exactly min(t / leaves, N_i) per leaf") {
     val r = PassBuilder.build(intel, Seq("time"), "light",
       PassBuilder.EqualDepth1D(8), PassBuilder.TotalBudget(800), seed = 6)
-    val sizes = r.synopsis.samples.map(_.size)
-    assert(sizes.sum > 400 && sizes.sum < 1400, s"total ${sizes.sum}")
+    for (l <- r.synopsis.leaves)
+      assert(r.synopsis.samples(l.leafId).size == math.min(100L, l.count), s"leaf ${l.leafId}")
+  }
+
+  test("PerLeaf allocation gives every leaf exactly min(n, N_i) samples") {
+    val r = PassBuilder.build(intel, Seq("time"), "light",
+      PassBuilder.Adp1D(32, Agg.Sum), PassBuilder.PerLeaf(40), optSampleSize = 1500, seed = 9)
+    assert(r.synopsis.leaves.exists(_.count < 40)) // both sides of the min occur
+    for (l <- r.synopsis.leaves)
+      assert(r.synopsis.samples(l.leafId).size == math.min(40L, l.count), s"leaf ${l.leafId}")
   }
 
   test("PerLeaf(0) yields an aggregates-only synopsis") {
@@ -211,7 +225,76 @@ class PassBuilderSpec extends SparkSpec {
   test("build reports cost accounting") {
     val r = buildAdp(k = 8)
     assert(r.buildMillis >= 0)
-    assert(r.optSampleSize > 500)
+    assert(r.optSampleSize == math.min(1500, gt.n))
+    assert(r.droppedRows == 0)
+  }
+
+  /** Every leaf's exact aggregates against `truth` over the leaf bounds. */
+  private def assertLeavesExact(syn: PassSynopsis, truth: GroundTruth, what: String): Unit =
+    for (l <- syn.leaves) {
+      val (sm, cnt, mn, mx) = truth.stats(l.bounds)
+      assert(l.count == cnt, s"$what leaf ${l.bounds} count")
+      if (cnt > 0) assert(l.min == mn && l.max == mx, s"$what leaf ${l.bounds} min/max")
+      assert(math.abs(l.sum - sm) <= 1e-12 * math.abs(sm), s"$what leaf ${l.bounds} sum ${l.sum} vs $sm")
+    }
+
+  test("every leaf's count, min, max and sum equal the exact aggregates of its bounds") {
+    assertLeavesExact(buildAdp().synopsis, gt, "Adp1D")
+    val nyc = Datasets.nycLite(spark, sf = 0.002, seed = 2).persist()
+    try {
+      val cols = Seq("pickup_time", "pickup_date")
+      val syn  = PassBuilder.build(nyc, cols, "trip_distance",
+        PassBuilder.KdGreedy(32, Agg.Sum), PassBuilder.TotalBudget(1000), optSampleSize = 2000, seed = 13).synopsis
+      assertLeavesExact(syn, GroundTruth.collect(nyc, cols, "trip_distance"), "KdGreedy")
+    } finally nyc.unpersist()
+  }
+
+  test("two builds with the same seed give bit-identical synopses") {
+    def fingerprint(syn: PassSynopsis): Seq[Long] = {
+      def bits(xs: Seq[Double]): Seq[Long] = xs.map(java.lang.Double.doubleToRawLongBits)
+      syn.root.preorder.toSeq.flatMap { n =>
+        bits((n.bounds.lo ++ n.bounds.hi).toSeq ++ Seq(n.sum, n.min, n.max)) ++ Seq(n.count, n.leafId.toLong)
+      } ++ syn.samples.toSeq.flatMap(s => bits((s.values ++ s.coords.flatten).toSeq) :+ s.size.toLong)
+    }
+    for (alloc <- Seq(PassBuilder.Rate(0.05), PassBuilder.TotalBudget(600))) {
+      def once() = PassBuilder.build(intel, Seq("time"), "light", PassBuilder.Adp1D(16, Agg.Sum), alloc,
+        optSampleSize = 1500, seed = 5).synopsis
+      val (a, b) = (once(), once())
+      assert(a.storedSamples > 100)
+      assert(fingerprint(a) == fingerprint(b), s"$alloc")
+    }
+    val other = PassBuilder.build(intel, Seq("time"), "light", PassBuilder.Adp1D(16, Agg.Sum),
+      PassBuilder.Rate(0.05), optSampleSize = 1500, seed = 6).synopsis
+    assert(fingerprint(other) != fingerprint(buildAdp(k = 16).synopsis))
+  }
+
+  test("rows with a NaN or null coordinate or a null value are dropped and counted") {
+    import spark.implicits._
+    val rnd   = new scala.util.Random(4)
+    val clean = Seq.tabulate(3000)(i =>
+      (Option(i * 0.37 % 1000), Option(rnd.nextDouble() * 10), Option(i % 7 * 1.0)))
+    val dirty = Seq[(Option[Double], Option[Double], Option[Double])](
+      (Some(Double.NaN), Some(1.0), Some(5.0)), (None, Some(2.0), Some(5.0)), (Some(10.0), None, Some(5.0)),
+      (Some(20.0), Some(Double.NaN), Some(5.0)), (Some(30.0), Some(3.0), None), (Some(40.0), Some(4.0), None))
+    val rows  = rnd.shuffle(clean ++ dirty).toDF("x", "y", "v").persist()
+    try {
+      val cleanDf = rows.na.drop().filter(!isnan(col("x")) && !isnan(col("y")))
+      assert(cleanDf.count() == 3000)
+      // 1-D over x: NaN or null x, and null v, are dropped; a NaN or null y is not read
+      val r1 = PassBuilder.build(rows, Seq("x"), "v", PassBuilder.EqualDepth1D(8), PassBuilder.PerLeaf(20),
+        optSampleSize = 500, seed = 3)
+      assert(r1.droppedRows == 4)
+      val gt1 = GroundTruth.collect(rows.na.drop(Seq("x", "v")).filter(!isnan(col("x"))), Seq("x"), "v")
+      assert(r1.synopsis.root.count == 3002 && gt1.n == 3002)
+      assertLeavesExact(r1.synopsis, gt1, "1-D")
+      // 2-D over (x, y): every dirty row is dropped
+      val r2 = PassBuilder.build(rows, Seq("x", "y"), "v", PassBuilder.KdGreedy(16, Agg.Sum),
+        PassBuilder.Rate(0.1), optSampleSize = 500, seed = 3)
+      assert(r2.droppedRows == 6 && r2.synopsis.totalRows == 3000)
+      assertLeavesExact(r2.synopsis, GroundTruth.collect(cleanDf, Seq("x", "y"), "v"), "2-D")
+      for (s <- r2.synopsis.samples; i <- 0 until s.size)
+        assert(!s.coords(i).exists(_.isNaN) && !s.values(i).isNaN)
+    } finally rows.unpersist()
   }
 
   test("empty input is rejected") {
