@@ -15,20 +15,27 @@ final class PrecompUniformSynopsis(val root: TreeNode, val sample: LeafSample, v
   def storageBytes: Long = PartitionTree.storageBytes(root) + sample.storageBytes
 
   def answer(q: Rect, agg: Agg): Estimate = {
-    val f        = PartitionTree.mcf(root, q)
-    val coverCnt = f.cover.iterator.map(_.count).sum
+    val t        = PartitionTree.flat(root)
+    val f        = t.mcf(q, zeroVarRule = false, Frontier.ofThread)
+    var coverCnt = 0L
+    var coverSum = 0.0
+    var coverMin = Double.PositiveInfinity
+    var coverMax = Double.NegativeInfinity
+    var i        = 0
+    while (i < f.nCover) {
+      val c = f.coverIx(i)
+      coverCnt += t.count(c); coverSum += t.sum(c)
+      coverMin = math.min(coverMin, t.min(c)); coverMax = math.max(coverMax, t.max(c))
+      i += 1
+    }
     // the uniform sample restricted to the gap `q \ cover`
-    val m = Moments.scan(sample, q, f.cover.iterator.map(_.bounds).toArray)
+    val m = Moments.scan(sample, q, agg, exclude = f)
     agg match {
-      case Agg.Min =>
-        val coverMin = f.cover.iterator.map(_.min).foldLeft(Double.PositiveInfinity)(math.min)
-        Estimate(m.extreme(agg, coverCnt, coverMin), Double.NaN, processedSamples = m.ki)
-      case Agg.Max =>
-        val coverMax = f.cover.iterator.map(_.max).foldLeft(Double.NegativeInfinity)(math.max)
-        Estimate(m.extreme(agg, coverCnt, coverMax), Double.NaN, processedSamples = m.ki)
+      case Agg.Min => Estimate(m.extreme(agg, coverCnt, coverMin), Double.NaN, processedSamples = m.ki)
+      case Agg.Max => Estimate(m.extreme(agg, coverCnt, coverMax), Double.NaN, processedSamples = m.ki)
       case _ =>
         // exact cover + one stratum, the whole table, sampled only in the gap
-        val est = new Stratified(agg, f.cover.iterator.map(_.sum).sum, coverCnt)
+        val est = new Stratified(agg, coverSum, coverCnt)
         est.add(totalRows, m)
         est.estimate
     }

@@ -14,20 +14,23 @@ final class StratifiedSampleSynopsis(private val pass: PassSynopsis) extends Ser
   def storedSamples: Long = pass.storedSamples
   def storageBytes: Long  = pass.sampleBytes
 
+  /** Every overlapping stratum is estimated from its sample (no exact parts). */
   def answer(q: Rect, agg: Agg): Estimate = {
-    // every overlapping stratum is estimated from its sample (no exact parts)
-    val strata = pass.leaves.filter(l => !l.bounds.disjoint(q) && l.count > 0).map { l =>
-      (l.count, Moments.scan(pass.samples(l.leafId), q))
+    val extreme = agg == Agg.Min || agg == Agg.Max
+    val est     = new Stratified(agg)
+    var pooled  = Moments.empty // MIN/MAX: the union of the strata's samples
+    val leaves  = pass.leaves
+    var i       = 0
+    while (i < leaves.length) {
+      val l = leaves(i)
+      if (!l.bounds.disjoint(q) && l.count > 0) {
+        val m = Moments.scan(pass.samples(l.leafId), q, agg)
+        if (extreme) pooled = pooled + m else est.add(l.count, m)
+      }
+      i += 1
     }
-    agg match {
-      case Agg.Min | Agg.Max =>
-        val m = strata.foldLeft(Moments.empty)(_ + _._2)
-        Estimate(m.extreme(agg), Double.NaN, processedSamples = m.ki)
-      case _ =>
-        val est = new Stratified(agg)
-        for ((ni, m) <- strata) est.add(ni, m)
-        est.estimate
-    }
+    if (extreme) Estimate(pooled.extreme(agg), Double.NaN, processedSamples = pooled.ki)
+    else est.estimate
   }
 }
 

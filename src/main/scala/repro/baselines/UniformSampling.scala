@@ -14,7 +14,7 @@ final class UniformSampleSynopsis(val sample: LeafSample, val totalRows: Long) e
   def storageBytes: Long = sample.storageBytes
 
   def answer(q: Rect, agg: Agg): Estimate = {
-    val m = Moments.scan(sample, q)
+    val m = Moments.scan(sample, q, agg)
     agg match {
       case Agg.Min | Agg.Max => Estimate(m.extreme(agg), Double.NaN, processedSamples = m.ki)
       case _ =>

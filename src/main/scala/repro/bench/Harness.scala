@@ -25,23 +25,26 @@ object Harness {
     else (v(v.length / 2 - 1) + v(v.length / 2)) / 2
   }
 
-  /** The timed repetitions of the whole query list run at least this long. */
-  private val MinTimedNanos = 50L * 1000 * 1000
+  /** Each timed batch of whole query-list passes runs at least this long. */
+  private val MinBatchNanos = 10L * 1000 * 1000
+
+  /** Timed batches per evaluation; the fastest one gives `meanLatencyMs`. */
+  private val TimedBatches = 5
 
   /** Keeps the timed answers observable, so the JIT cannot drop them. */
   @volatile private[bench] var sink = 0.0
 
   /** Scores `answer` on `queries`. The accuracy metrics and `maxLatencyMs`
-    * come from one pass with a clock pair per query; `meanLatencyMs` is the
-    * time of R further passes over the whole list divided by R times its
-    * length, R chosen so the passes take at least 50 ms: a µs-scale answer is
-    * then not timed by one clock pair of its own.
+    * come from one pass with a clock pair per query. `meanLatencyMs` is the
+    * fastest of 5 timed batches, each of whole passes over the list repeated
+    * until the batch has run 10 ms, divided by its passes times the list's
+    * length: a µs-scale answer is not timed by one clock pair of its own, and
+    * the code a JVM is still compiling in its first batch does not set it.
     */
   def evaluate(answer: (Rect, Agg) => Estimate, gt: GroundTruth,
                queries: Array[Rect], agg: Agg): RunMetrics = {
     val relErrs  = Array.newBuilder[Double]
     val ciRatios = Array.newBuilder[Double]
-    var passNs   = 0L
     var latMax   = 0.0
     var skipSum  = 0.0
     var procSum  = 0.0
@@ -54,7 +57,6 @@ object Harness {
       val t0    = System.nanoTime()
       val est   = answer(q, agg)
       val ns    = System.nanoTime() - t0
-      passNs += ns
       latMax = math.max(latMax, ns / 1e6)
       skipSum += est.skipRate
       procSum += est.processedSamples.toDouble
@@ -67,21 +69,27 @@ object Harness {
         }
       }
     }
-    val reps = math.max(1L, MinTimedNanos / math.max(1L, passNs)).toInt
-    var acc  = 0.0
-    val t0   = System.nanoTime()
-    var r    = 0
-    while (r < reps) {
-      var i = 0
-      while (i < queries.length) { acc += answer(queries(i), agg).value; i += 1 }
-      r += 1
+    var acc    = 0.0
+    var meanMs = Double.PositiveInfinity
+    var b      = 0
+    while (b < TimedBatches) {
+      val t0   = System.nanoTime()
+      var reps = 0L
+      var ns   = 0L
+      while (ns < MinBatchNanos) {
+        var i = 0
+        while (i < queries.length) { acc += answer(queries(i), agg).value; i += 1 }
+        reps += 1
+        ns = System.nanoTime() - t0
+      }
+      meanMs = math.min(meanMs, ns / 1e6 / math.max(1L, reps * queries.length))
+      b += 1
     }
-    val timedNs = System.nanoTime() - t0
     sink = acc
     RunMetrics(
       medianRelErr = median(relErrs.result().toSeq),
       medianCiRatio = median(ciRatios.result().toSeq),
-      meanLatencyMs = timedNs / 1e6 / math.max(1L, reps.toLong * queries.length),
+      meanLatencyMs = meanMs,
       maxLatencyMs = latMax,
       meanSkipRate = skipSum / math.max(1, queries.length),
       meanProcessed = procSum / math.max(1, queries.length),

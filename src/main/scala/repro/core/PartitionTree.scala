@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.ArrayBuffer
 
 /** A node of the PASS partition tree (Definition 3.1): a rectangle of predicate
@@ -8,6 +9,7 @@ import scala.collection.mutable.ArrayBuffer
   * partition-aggregate table and the stratified sample; every node knows the
   * contiguous `[leafLo, leafHi]` id range of its descendant leaves so the
   * 0-variance rule can pool their samples without re-walking the tree.
+  * Queries read a root's [[FlatTree]], built from the skeleton on first use.
   */
 final class TreeNode(
     val bounds: Rect,
@@ -21,6 +23,9 @@ final class TreeNode(
   def isLeaf: Boolean = children.isEmpty
   var leafLo: Int = leafId
   var leafHi: Int = leafId
+
+  /** The flat form of the tree under this node, once a query has built it. */
+  @transient private[core] var flat: FlatTree = null
 
   /** All nodes in preorder. */
   def preorder: Iterator[TreeNode] =
@@ -94,48 +99,29 @@ object PartitionTree {
     */
   def storageBytes(root: TreeNode): Long = root.preorder.size.toLong * (2L * root.bounds.dims + 4L) * 8L
 
-  /** Rolls statistics up an entire skeleton tree whose leaves are populated. */
+  /** Rolls statistics up an entire skeleton tree whose leaves are populated,
+    * dropping any flat form built from the old statistics.
+    */
   def rollUpTree(root: TreeNode): Unit = {
     root.children.foreach(rollUpTree)
     rollUpStats(root)
+    root.flat = null
   }
 
-  /** Output of the Minimal Coverage Frontier search.
-    *
-    * @param cover   nodes fully inside the predicate — answered exactly
-    * @param partial partially-overlapped leaf nodes — estimated from samples
-    * @param zeroVar partially-overlapped 0-variance nodes returned early by the
-    *                AVG rule (min == max; possibly internal)
-    * @param visited number of tree nodes touched (query-latency accounting)
+  /** The flat form of the tree under `root`, built once and kept on the root
+    * (not serialized: a deserialized tree builds it again on first use).
     */
-  final case class Frontier(
-      cover: ArrayBuffer[TreeNode],
-      partial: ArrayBuffer[TreeNode],
-      zeroVar: ArrayBuffer[TreeNode],
-      visited: Int,
-  )
-
-  /** Algorithm 1 (MCF) with the Sec 3.4 additions: a depth-first search that
-    * classifies the tree into covered / partial / pruned nodes, stopping early
-    * at 0-variance nodes for AVG queries when `zeroVarRule` is set.
-    */
-  def mcf(root: TreeNode, q: Rect, zeroVarRule: Boolean = false): Frontier = {
-    val cover   = ArrayBuffer.empty[TreeNode]
-    val partial = ArrayBuffer.empty[TreeNode]
-    val zeroVar = ArrayBuffer.empty[TreeNode]
-    var visited = 0
-    def rec(node: TreeNode): Unit = {
-      visited += 1
-      if (node.bounds.disjoint(q)) ()
-      else if (q.containsRect(node.bounds)) cover += node
-      else if (node.count == 0) () // empty partition: nothing to estimate
-      else if (zeroVarRule && node.min == node.max) zeroVar += node
-      else if (node.isLeaf) partial += node
-      else node.children.foreach(rec)
-    }
-    rec(root)
-    Frontier(cover, partial, zeroVar, visited)
+  def flat(root: TreeNode): FlatTree = {
+    val f = root.flat // one read: another thread may build its own equal copy
+    if (f != null) f
+    else { val built = new FlatTree(root); root.flat = built; built }
   }
+
+  /** Algorithm 1 (MCF) over the flat form of `root` (see [[FlatTree.mcf]]),
+    * returned as a fresh [[Frontier]] the size of its result.
+    */
+  def mcf(root: TreeNode, q: Rect, zeroVarRule: Boolean = false): Frontier =
+    flat(root).mcf(q, zeroVarRule, Frontier.ofThread).copy()
 
   /** Checks Definition 3.1's invariants plus statistic consistency; returns the
     * list of violations (empty = valid). Test helper, O(tree²) on siblings.
@@ -157,4 +143,165 @@ object PartitionTree {
     }
     errs.toSeq
   }
+}
+
+/** A partition tree laid out in preorder in primitive arrays, the form every
+  * query reads: node `i`'s bounds in dimension `j` are `lo(i * dims + j)` and
+  * `hi(i * dims + j)`, its statistics and leaf-id span sit at index `i`, its
+  * first child (if any) at `i + 1`, and `skip(i)` is the index just past its
+  * subtree. `nodes(i)` is the skeleton node it was built from.
+  */
+final class FlatTree(root: TreeNode) {
+  val nodes: Array[TreeNode] = root.preorder.toArray
+  val size: Int              = nodes.length
+  val dims: Int              = root.bounds.dims
+
+  val lo: Array[Double]   = new Array[Double](size * dims)
+  val hi: Array[Double]   = new Array[Double](size * dims)
+  val count: Array[Long]  = nodes.map(_.count)
+  val sum: Array[Double]  = nodes.map(_.sum)
+  val min: Array[Double]  = nodes.map(_.min)
+  val max: Array[Double]  = nodes.map(_.max)
+  val leafId: Array[Int]  = nodes.map(_.leafId)
+  val leafLo: Array[Int]  = nodes.map(_.leafLo)
+  val leafHi: Array[Int]  = nodes.map(_.leafHi)
+  val skip: Array[Int]    = new Array[Int](size)
+
+  locally {
+    var i = 0
+    while (i < size) {
+      System.arraycopy(nodes(i).bounds.lo, 0, lo, i * dims, dims)
+      System.arraycopy(nodes(i).bounds.hi, 0, hi, i * dims, dims)
+      i += 1
+    }
+    // node i's children follow it in preorder, each subtree after the last
+    def fillSkip(i: Int): Int = {
+      var next = i + 1
+      for (_ <- nodes(i).children) next = fillSkip(next)
+      skip(i) = next
+      next
+    }
+    fillSkip(0)
+  }
+
+  /** Node `i` shares no point with `q` (as `Rect.disjoint`). */
+  private def disjoint(i: Int, q: Rect): Boolean = {
+    val b = i * dims
+    var j = 0
+    while (j < dims) {
+      if (q.hi(j) <= lo(b + j) || q.lo(j) >= hi(b + j)) return true
+      j += 1
+    }
+    false
+  }
+
+  /** Node `i` lies inside `q` (as `q.containsRect`). */
+  private def inside(i: Int, q: Rect): Boolean = {
+    val b = i * dims
+    var j = 0
+    while (j < dims) {
+      if (lo(b + j) < q.lo(j) || hi(b + j) > q.hi(j)) return false
+      j += 1
+    }
+    true
+  }
+
+  /** Point `x` lies in node `i` (as `Rect.contains`: a NaN lies in none). */
+  def contains(i: Int, x: Array[Double]): Boolean = {
+    val b = i * dims
+    var j = 0
+    while (j < dims) {
+      if (!(x(j) >= lo(b + j) && x(j) < hi(b + j))) return false
+      j += 1
+    }
+    true
+  }
+
+  /** Algorithm 1 (MCF) with the Sec 3.4 additions: a preorder walk that
+    * classifies nodes as covered, partial or pruned, stopping early at
+    * 0-variance nodes for AVG queries when `zeroVarRule` is set. It writes
+    * into `f` and returns it; nothing is allocated once `f` has served a
+    * tree this large.
+    */
+  def mcf(q: Rect, zeroVarRule: Boolean, f: Frontier): Frontier = {
+    f.reset(this)
+    var nc = 0; var np = 0; var nz = 0; var visited = 0
+    var i  = 0
+    while (i < size) {
+      visited += 1
+      var next = skip(i) // past the subtree, unless it is descended into
+      if (disjoint(i, q)) ()
+      else if (inside(i, q)) { f.coverIx(nc) = i; nc += 1 }
+      else if (count(i) == 0) () // empty partition: nothing to estimate
+      else if (zeroVarRule && min(i) == max(i)) { f.zeroVarIx(nz) = i; nz += 1 }
+      else if (next == i + 1) { f.partialIx(np) = i; np += 1 } // a leaf
+      else next = i + 1
+      i = next
+    }
+    f.nCover = nc; f.nPartial = np; f.nZeroVar = nz; f.visited = visited
+    f
+  }
+}
+
+/** Output of the Minimal Coverage Frontier search over `tree`, as preorder
+  * node indices in visit order. `FlatTree.mcf` overwrites it, so one frontier
+  * serves every query of its owner, on any tree.
+  *
+  * `coverIx` holds nodes fully inside the predicate (answered exactly);
+  * `partialIx` partially-overlapped leaves (estimated from samples);
+  * `zeroVarIx` partially-overlapped 0-variance nodes returned early by the
+  * AVG rule (min == max, possibly internal); `visited` counts the nodes
+  * touched. `cover`, `partial` and `zeroVar` read them back as nodes.
+  */
+final class Frontier {
+  private[core] var tree: FlatTree = null
+  var coverIx: Array[Int]   = Array.emptyIntArray
+  var partialIx: Array[Int] = Array.emptyIntArray
+  var zeroVarIx: Array[Int] = Array.emptyIntArray
+  var nCover   = 0
+  var nPartial = 0
+  var nZeroVar = 0
+  var visited  = 0
+
+  /** Points the frontier at `t`, with room for every node of it. */
+  private[core] def reset(t: FlatTree): Unit = {
+    tree = t
+    if (coverIx.length < t.size) {
+      coverIx = new Array[Int](t.size); partialIx = new Array[Int](t.size); zeroVarIx = new Array[Int](t.size)
+    }
+  }
+
+  /** An independent frontier holding just this one's result. */
+  def copy(): Frontier = {
+    val c = new Frontier
+    c.tree = tree
+    c.coverIx = java.util.Arrays.copyOf(coverIx, nCover); c.nCover = nCover
+    c.partialIx = java.util.Arrays.copyOf(partialIx, nPartial); c.nPartial = nPartial
+    c.zeroVarIx = java.util.Arrays.copyOf(zeroVarIx, nZeroVar); c.nZeroVar = nZeroVar
+    c.visited = visited
+    c
+  }
+
+  def cover: IndexedSeq[TreeNode]   = nodesOf(coverIx, nCover)
+  def partial: IndexedSeq[TreeNode] = nodesOf(partialIx, nPartial)
+  def zeroVar: IndexedSeq[TreeNode] = nodesOf(zeroVarIx, nZeroVar)
+
+  private def nodesOf(ix: Array[Int], n: Int): IndexedSeq[TreeNode] =
+    ArraySeq.unsafeWrapArray(Array.tabulate(n)(j => tree.nodes(ix(j))))
+
+  /** Point `x` lies in a covered node. */
+  def inCover(x: Array[Double]): Boolean = {
+    var j = 0
+    while (j < nCover && !tree.contains(coverIx(j), x)) j += 1
+    j < nCover
+  }
+}
+
+object Frontier {
+  // one per thread, shared by every tree: a frontier held per tree would keep
+  // its tree reachable from each thread that ever queried it
+  private val perThread = ThreadLocal.withInitial(() => new Frontier)
+
+  /** The calling thread's frontier, for answer paths that reuse one per query. */
+  def ofThread: Frontier = perThread.get()
 }

@@ -24,19 +24,25 @@ object Moments {
   /** The moments of an empty sample. */
   val empty: Moments = Moments(0, 0, 0.0, 0.0, Double.PositiveInfinity, Double.NegativeInfinity)
 
-  private val noRects: Array[Rect] = Array.empty
-
-  /** The one scan of a sample, sorted by dimension 0: its rows inside
-    * `[q.lo(0), q.hi(0))` form one run, found by binary search; inside the run
-    * only dimensions 1 .. d−1 are checked (none in 1-D), and rows inside a
-    * rectangle of `exclude` (AQP++'s covered nodes) are dropped. `ki` is still
-    * the whole sample's size.
+  /** The one scan of a sample, sorted by dimension 0, for aggregate `agg`:
+    * its rows inside `[q.lo(0), q.hi(0))` form one run, found by binary
+    * search; inside the run only dimensions 1 .. d−1 are checked (none in
+    * 1-D), and rows inside a covered node of `exclude` (AQP++'s gap; null:
+    * none) are dropped. `ki` is still the whole sample's size. Each aggregate
+    * gets the fields it reads, summed in row order as the full loop sums them:
+    * with nothing to check (1-D, no exclusion), COUNT reads no row (`kMatch` is
+    * the run's length) and SUM/AVG only the values (no extrema); MIN/MAX,
+    * d > 1 and exclusion run the full loop.
     */
-  def scan(s: LeafSample, q: Rect, exclude: Array[Rect] = noRects): Moments = {
+  def scan(s: LeafSample, q: Rect, agg: Agg, exclude: Frontier = null): Moments = {
     val c     = s.coords
     val from  = lowerBound(c, q.lo(0))
     val until = if (q.lo(0) <= q.hi(0)) lowerBound(c, q.hi(0)) else from // NaN bound: no run
-    accumulate(c, s.values, from, until, q, exclude)
+    val ex    = if (exclude != null && exclude.nCover > 0) exclude else null
+    val check = q.dims > 1 || ex != null
+    if (check || agg == Agg.Min || agg == Agg.Max) accumulate(c, s.values, from, until, q, ex, check)
+    else if (agg == Agg.Count) Moments(s.size, until - from, 0.0, 0.0, Double.PositiveInfinity, Double.NegativeInfinity)
+    else sums(s.values, from, until)
   }
 
   /** The first row of a dimension-0-sorted sample not below `c` (NaN rows,
@@ -51,12 +57,11 @@ object Moments {
     lo
   }
 
-  /** The accumulation loop: rows `from until until` that lie in `q` from
-    * dimension 1 on and in no rectangle of `exclude`.
+  /** The full loop: rows `from until until` that, when `check` is set, lie
+    * in `q` from dimension 1 on and in no covered node of `exclude`.
     */
   private def accumulate(coords: Array[Array[Double]], values: Array[Double], from: Int, until: Int,
-                         q: Rect, exclude: Array[Rect]): Moments = {
-    val check = q.dims > 1 || exclude.length > 0 // false for a 1-D run: no row is read
+                         q: Rect, exclude: Frontier, check: Boolean): Moments = {
     var i  = from
     var k  = 0
     var s1 = 0.0
@@ -64,7 +69,7 @@ object Moments {
     var mn = Double.PositiveInfinity
     var mx = Double.NegativeInfinity
     while (i < until) {
-      if (!check || (q.containsFrom(coords(i), 1) && !inAny(exclude, coords(i)))) {
+      if (!check || (q.containsFrom(coords(i), 1) && (exclude == null || !exclude.inCover(coords(i))))) {
         val a = values(i)
         k += 1; s1 += a; s2 += a * a
         if (a < mn) mn = a
@@ -75,10 +80,17 @@ object Moments {
     Moments(values.length, k, s1, s2, mn, mx)
   }
 
-  private def inAny(rects: Array[Rect], x: Array[Double]): Boolean = {
-    var j = 0
-    while (j < rects.length && !rects(j).contains(x)) j += 1
-    j < rects.length
+  /** SUM/AVG over a 1-D run: every row matches; no extrema. */
+  private def sums(values: Array[Double], from: Int, until: Int): Moments = {
+    var i  = from
+    var s1 = 0.0
+    var s2 = 0.0
+    while (i < until) {
+      val a = values(i)
+      s1 += a; s2 += a * a
+      i += 1
+    }
+    Moments(values.length, until - from, s1, s2, Double.PositiveInfinity, Double.NegativeInfinity)
   }
 }
 

@@ -53,28 +53,33 @@ final class PassSynopsis(
   /** Synopsis footprint in bytes: tree aggregates + sampled tuples. */
   def storageBytes: Long = PartitionTree.storageBytes(root) + sampleBytes
 
-  private def moments(leafId: Int, q: Rect): Moments = Moments.scan(samples(leafId), q)
+  /** The moments of the union of the samples of leaves `lo` to `hi`. */
+  private def pooledMoments(lo: Int, hi: Int, q: Rect, agg: Agg): Moments = {
+    var m  = Moments.empty
+    var id = lo
+    while (id <= hi) { m = m + Moments.scan(samples(id), q, agg); id += 1 }
+    m
+  }
 
-  /** Moments of the union of the given leaves' samples. */
-  private def pooledMoments(leafIds: Iterable[Int], q: Rect): Moments =
-    leafIds.foldLeft(Moments.empty)((m, id) => m + moments(id, q))
-
-  /** Answers one aggregate query. See `Estimate` for field semantics. */
+  /** Answers one aggregate query. See `Estimate` for field semantics. MCF
+    * runs into the calling thread's reused frontier and node statistics come
+    * from the flat tree, so concurrent calls share nothing mutable.
+    */
   def answer(q: Rect, agg: Agg): Estimate = {
-    val f      = PartitionTree.mcf(root, q, zeroVarRule = zeroVarRule && agg == Agg.Avg)
-    val nPart  = f.partial.length
-    val nFront = nPart + f.zeroVar.length
-    def front(i: Int): TreeNode = if (i < nPart) f.partial(i) else f.zeroVar(i - nPart)
+    val t      = PartitionTree.flat(root)
+    val f      = t.mcf(q, zeroVarRule && agg == Agg.Avg, Frontier.ofThread)
+    val nPart  = f.nPartial
+    val nFront = nPart + f.nZeroVar
+    // the frontier: partial leaves, then 0-variance nodes
+    def front(i: Int): Int = if (i < nPart) f.partialIx(i) else f.zeroVarIx(i - nPart)
 
     var coverSum = 0.0
     var coverCnt = 0L
     var i        = 0
-    while (i < f.cover.length) { coverSum += f.cover(i).sum; coverCnt += f.cover(i).count; i += 1 }
-    var partialCnt = 0L
+    while (i < f.nCover) { val c = f.coverIx(i); coverSum += t.sum(c); coverCnt += t.count(c); i += 1 }
+    var frontCnt = 0L
     i = 0
-    while (i < nPart) { partialCnt += f.partial(i).count; i += 1 }
-    var frontCnt = partialCnt // partial leaves and 0-variance nodes
-    while (i < nFront) { frontCnt += front(i).count; i += 1 }
+    while (i < nFront) { frontCnt += t.count(front(i)); i += 1 }
     val skipRate = if (totalRows == 0) 1.0 else 1.0 - frontCnt.toDouble / totalRows
 
     // exact cover + one stratum per partial leaf / 0-variance node; `while`, as a
@@ -83,14 +88,14 @@ final class PassSynopsis(
       val est = new Stratified(agg, coverSum, coverCnt)
       var i = 0
       while (i < nPart) {
-        val l = f.partial(i)
-        est.add(l.count, moments(l.leafId, q))
+        val l = f.partialIx(i)
+        est.add(t.count(l), Moments.scan(samples(t.leafId(l)), q, agg))
         i += 1
       }
       i = 0
-      while (i < f.zeroVar.length) { // a 0-variance node's sample lives at the leaves below it
-        val z = f.zeroVar(i)
-        est.addConstant(z.count, pooledMoments(z.leafLo to z.leafHi, q), z.min)
+      while (i < f.nZeroVar) { // a 0-variance node's sample lives at the leaves below it
+        val z = f.zeroVarIx(i)
+        est.addConstant(t.count(z), pooledMoments(t.leafLo(z), t.leafHi(z), q, agg), t.min(z))
         i += 1
       }
       est
@@ -104,15 +109,15 @@ final class PassSynopsis(
         i = 0
         while (i < nFront) {
           val n = front(i)
-          lb += (if (n.min >= 0) 0.0 else n.count * math.min(0.0, n.min))
-          ub += (if (n.min >= 0) n.sum else n.count * math.max(0.0, n.max))
+          lb += (if (t.min(n) >= 0) 0.0 else t.count(n) * math.min(0.0, t.min(n)))
+          ub += (if (t.min(n) >= 0) t.sum(n) else t.count(n) * math.max(0.0, t.max(n)))
           i += 1
         }
         Estimate(est.value, est.ciHalf, lb, ub, est.processed, skipRate)
 
       case Agg.Count =>
         val est = estimator()
-        val ub  = coverCnt.toDouble + partialCnt
+        val ub  = coverCnt.toDouble + frontCnt // no 0-variance node: the frontier is the partial leaves
         Estimate(est.value, est.ciHalf, coverCnt.toDouble, ub, est.processed, skipRate)
 
       case Agg.Avg =>
@@ -125,9 +130,9 @@ final class PassSynopsis(
         i = 0
         while (i < nFront) {
           val n = front(i)
-          if (i == 0 || java.lang.Double.compare(n.min, fMin) < 0) fMin = n.min
-          if (i == 0 || java.lang.Double.compare(n.max, fMax) > 0) fMax = n.max
-          fSum += n.sum
+          if (i == 0 || java.lang.Double.compare(t.min(n), fMin) < 0) fMin = t.min(n)
+          if (i == 0 || java.lang.Double.compare(t.max(n), fMax) > 0) fMax = t.max(n)
+          fSum += t.sum(n)
           i += 1
         }
         val lb =
@@ -146,18 +151,30 @@ final class PassSynopsis(
           Estimate(v, math.max(ub - v, v - lb), lb, ub, est.processed, skipRate)
         } else Estimate(value, est.ciHalf, lb, ub, est.processed, skipRate)
 
-      case Agg.Min =>
-        val coverMin = f.cover.iterator.map(_.min).foldLeft(Double.PositiveInfinity)(math.min)
-        val m        = pooledMoments(f.partial.map(_.leafId), q)
-        // the observed minimum can only overestimate the true minimum (+∞ if none is observed)
-        Estimate(m.extreme(agg, coverCnt, coverMin), Double.NaN,
-                 f.partial.iterator.map(_.min).foldLeft(coverMin)(math.min), math.min(coverMin, m.min), m.ki, skipRate)
-
-      case Agg.Max =>
-        val coverMax = f.cover.iterator.map(_.max).foldLeft(Double.NegativeInfinity)(math.max)
-        val m        = pooledMoments(f.partial.map(_.leafId), q)
-        Estimate(m.extreme(agg, coverCnt, coverMax), Double.NaN,
-                 math.max(coverMax, m.max), f.partial.iterator.map(_.max).foldLeft(coverMax)(math.max), m.ki, skipRate)
+      case Agg.Min | Agg.Max =>
+        val isMin = agg == Agg.Min
+        // the cover's extreme, the partial leaves' pooled moments, and their
+        // exact extreme, each folded in visit order
+        var coverExt = if (isMin) Double.PositiveInfinity else Double.NegativeInfinity
+        i = 0
+        while (i < f.nCover) {
+          val c = f.coverIx(i)
+          coverExt = if (isMin) math.min(coverExt, t.min(c)) else math.max(coverExt, t.max(c))
+          i += 1
+        }
+        var m       = Moments.empty
+        var leafExt = coverExt
+        i = 0
+        while (i < nPart) {
+          val l = f.partialIx(i)
+          m = m + Moments.scan(samples(t.leafId(l)), q, agg)
+          leafExt = if (isMin) math.min(leafExt, t.min(l)) else math.max(leafExt, t.max(l))
+          i += 1
+        }
+        // the observed minimum can only overestimate the true minimum (+∞ if
+        // none is observed); the exact leaf extremes bound it from below
+        if (isMin) Estimate(m.extreme(agg, coverCnt, coverExt), Double.NaN, leafExt, math.min(coverExt, m.min), m.ki, skipRate)
+        else Estimate(m.extreme(agg, coverCnt, coverExt), Double.NaN, math.max(coverExt, m.max), leafExt, m.ki, skipRate)
     }
   }
 }

@@ -1,0 +1,105 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+
+/** The flat preorder MCF (`FlatTree.mcf`, and `PartitionTree.mcf` over it)
+  * against the recursive reference (`ReferenceMcf`): the same cover, partial
+  * and 0-variance nodes, in the same order, and the same `visited`, on 1-D
+  * and kd trees, with and without the 0-variance rule.
+  */
+class FlatTreeSpec extends AnyFunSuite {
+
+  private val Inf = Double.PositiveInfinity
+
+  /** Probe queries: random, with endpoints on split edges, empty (lo == hi),
+    * whole-space, disjoint from the data, and NaN-bounded.
+    */
+  private def probes(root: TreeNode, rnd: scala.util.Random, n: Int): Seq[Rect] = {
+    val d     = root.bounds.dims
+    val box   = root.bounds
+    val edges = Array.tabulate(d)(j => root.preorder.flatMap(x => Iterator(x.bounds.lo(j), x.bounds.hi(j))).toArray.distinct)
+    def coord(j: Int): Double = rnd.nextInt(4) match {
+      case 0 | 1 => edges(j)(rnd.nextInt(edges(j).length))
+      case _     => box.lo(j) + rnd.nextDouble() * (box.hi(j) - box.lo(j))
+    }
+    val random = Seq.fill(n) {
+      val a = Array.tabulate(d)(coord)
+      val b = Array.tabulate(d)(coord)
+      Rect(Array.tabulate(d)(j => math.min(a(j), b(j))), Array.tabulate(d)(j => math.max(a(j), b(j))))
+    }
+    val empty    = Seq.fill(5) { val a = Array.tabulate(d)(coord); Rect(a, a.clone()) }
+    val whole    = Rect(Array.fill(d)(-Inf), Array.fill(d)(Inf))
+    val disjoint = Rect(Array.tabulate(d)(j => box.hi(j) + 1), Array.tabulate(d)(j => box.hi(j) + 5))
+    val nan = for (j <- 0 until d; side <- Seq(true, false)) yield {
+      val lo = Array.fill(d)(-Inf); val hi = Array.fill(d)(Inf)
+      if (side) lo(j) = Double.NaN else hi(j) = Double.NaN
+      Rect(lo, hi)
+    }
+    random ++ empty ++ Seq(whole, disjoint, box) ++ nan
+  }
+
+  private def assertSameFrontier(f: Frontier, r: ReferenceMcf.Result, what: String): Unit = {
+    def same(a: Seq[TreeNode], b: Seq[TreeNode]) = a.length == b.length && a.zip(b).forall { case (x, y) => x eq y }
+    assert(same(f.cover, r.cover), s"$what: cover")
+    assert(same(f.partial, r.partial), s"$what: partial")
+    assert(same(f.zeroVar, r.zeroVar), s"$what: zeroVar")
+    assert(f.visited == r.visited, s"$what: visited ${f.visited} vs ${r.visited}")
+  }
+
+  /** Checks `root` on its probes, through the adapter and through one
+    * frontier reused for every query.
+    */
+  private def checkTree(root: TreeNode, seed: Long): Unit = {
+    val t      = PartitionTree.flat(root)
+    val reused = new Frontier
+    var zv     = 0
+    for (q <- probes(root, new scala.util.Random(seed), 300); rule <- Seq(false, true)) {
+      val ref = ReferenceMcf.mcf(root, q, rule)
+      zv += ref.zeroVar.length
+      assertSameFrontier(PartitionTree.mcf(root, q, rule), ref, s"q=$q rule=$rule")
+      assertSameFrontier(t.mcf(q, rule, reused), ref, s"reused frontier q=$q rule=$rule")
+    }
+    assert(zv > 0, "no probe reached a 0-variance node")
+  }
+
+  for (seed <- 0 until 4) {
+    test(s"flat MCF equals the recursive reference on 1-D trees (seed=$seed)") {
+      val (ps, as) = TestSynopses.genGrid(600, 1, 40, seed)
+      val cuts     = Array.tabulate(12)(j => (j * 3 + seed).toDouble)
+      checkTree(TestSynopses.build1D(ps.map(_(0)), as, cuts, samplesPerLeaf = 5, seed = seed).root, seed)
+    }
+  }
+
+  for (d <- 2 to 3; greedy <- Seq(true, false)) {
+    test(s"flat MCF equals the recursive reference on kd trees (d=$d greedy=$greedy)") {
+      val side     = 16
+      val (ps, vs) = TestSynopses.genGrid(1500, d, side, d * 7L)
+      val box      = Rect(Array.fill(d)(0.0), Array.fill(d)(side.toDouble))
+      val syn      = TestSynopses.buildKd(ps, vs, box, k = 64, greedy, samplesPerLeaf = 4)
+      checkTree(syn.root, d * 10L + (if (greedy) 1 else 0))
+    }
+  }
+
+  test("the flat form is built once per tree, and adapter frontiers are independent") {
+    val (cs, as) = TestSynopses.genData(300, 3)
+    val syn      = TestSynopses.build1D(cs, as, Array(20.0, 40.0, 60.0, 80.0), samplesPerLeaf = 10)
+    val (q1, q2) = (Rect.range(10, 50), Rect.range(55, 95))
+    val f1       = PartitionTree.mcf(syn.root, q1)
+    val f2       = PartitionTree.mcf(syn.root, q2)
+    assert(PartitionTree.flat(syn.root) eq PartitionTree.flat(syn.root))
+    assert(f1 ne f2)
+    assertSameFrontier(f1, ReferenceMcf.mcf(syn.root, q1, zeroVarRule = false), "first of two")
+    assertSameFrontier(f2, ReferenceMcf.mcf(syn.root, q2, zeroVarRule = false), "second of two")
+  }
+
+  test("rolling up new statistics drops the old flat form") {
+    val (cs, as) = TestSynopses.genData(300, 4)
+    val syn      = TestSynopses.build1D(cs, as, Array(25.0, 50.0, 75.0), samplesPerLeaf = 10)
+    val before   = PartitionTree.flat(syn.root)
+    syn.leaves(0).sum += 100.0
+    PartitionTree.rollUpTree(syn.root)
+    val after = PartitionTree.flat(syn.root)
+    assert(after ne before)
+    assert(after.sum(0) == syn.root.sum && after.sum(0) != before.sum(0))
+  }
+}

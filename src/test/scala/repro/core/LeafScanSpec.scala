@@ -6,8 +6,8 @@ import repro.PropSupport
 import repro.bench.GroundTruth
 
 /** The sorted leaf sample and its one scan (`Moments.scan`): the dim-0 run
-  * scan against a brute-force scan of the same rows, NaN coordinates, and
-  * excluded rectangles.
+  * scan against a brute-force scan of the same rows, NaN coordinates,
+  * excluded rectangles, and the fields each aggregate reads.
   */
 class LeafScanSpec extends AnyFunSuite with PropSupport {
 
@@ -79,7 +79,7 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
       val s           = LeafSample(cs, vs)
       (0 until 40).forall { _ =>
         val q = probe(rnd, s, d)
-        val (got, want) = (Moments.scan(s, q), bruteForce(s, q))
+        val (got, want) = (Moments.scan(s, q, Agg.Min), bruteForce(s, q))
         val ok = got.ki == want.ki && got.kMatch == want.kMatch && got.min == want.min &&
           got.max == want.max && relClose(got.sum, want.sum) && relClose(got.sumSq, want.sumSq)
         if (!ok) println(s"d=$d n=$n q=$q: run scan $got, brute force $want")
@@ -99,7 +99,7 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
       val s = LeafSample(cs, vs)
       val probes = probes1.map(p => Rect(Array.fill(d)(p.lo(0)), Array.fill(d)(p.hi(0))))
       for (q <- probes) {
-        val (m, want) = (Moments.scan(s, q), bruteForce(s, q))
+        val (m, want) = (Moments.scan(s, q, Agg.Max), bruteForce(s, q))
         assert(m.kMatch == want.kMatch && m.max < big, s"d=$d nanDim=$nanDim q=$q: $m")
         assert(!cs.exists(x => x(nanDim).isNaN && q.contains(x)))
       }
@@ -115,11 +115,73 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
     val rnd      = new scala.util.Random(5)
     val (cs, vs) = rows(rnd, 200, 2)
     val q        = Rect(Array(-1.0, 0.0), Array(7.0, 6.0))
-    val holes    = Array(Rect(Array(0.0, 1.0), Array(3.0, 4.0)), Rect(Array(5.0, 0.0), Array(9.0, 2.0)))
     val s        = LeafSample(cs, vs)
-    val m        = Moments.scan(s, q, holes)
-    val kept     = (0 until s.size).filter(i => q.contains(s.coords(i)) && !holes.exists(_.contains(s.coords(i))))
+    // the holes are the nodes of a kd tree that a second query covers
+    val root     = KdTree.buildBalanced(cs, vs, k = 16, Rect(Array(-3.0, -3.0), Array(9.0, 9.0)))
+    TestSynopses.populate(root, cs, vs)
+    val holes    = PartitionTree.mcf(root, Rect(Array(-3.0, 1.0), Array(6.0, 9.0)))
+    val m        = Moments.scan(s, q, Agg.Sum, exclude = holes)
+    val kept     = (0 until s.size).filter(i => q.contains(s.coords(i)) && !holes.cover.exists(_.bounds.contains(s.coords(i))))
+    assert(holes.cover.nonEmpty && kept.size < (0 until s.size).count(i => q.contains(s.coords(i))))
     assert(m.ki == 200 && m.kMatch == kept.size && kept.size > 0)
     assert(m.sum == kept.map(s.values).foldLeft(0.0)(_ + _))
+  }
+
+  /** The full accumulation of the rows in `q` and in no covered node of `ex`,
+    * in stored order: the reference for every field.
+    */
+  private def fullScan(s: LeafSample, q: Rect, ex: Frontier): (Int, Double, Double, Double, Double) = {
+    var k = 0; var s1 = 0.0; var s2 = 0.0
+    var mn = Double.PositiveInfinity; var mx = Double.NegativeInfinity
+    for (i <- 0 until s.size) {
+      val x = s.coords(i)
+      if (q.contains(x) && (ex == null || !ex.cover.exists(_.bounds.contains(x)))) {
+        val a = s.values(i)
+        k += 1; s1 += a; s2 += a * a
+        if (a < mn) mn = a
+        if (a > mx) mx = a
+      }
+    }
+    (k, s1, s2, mn, mx)
+  }
+
+  for (d <- Seq(1, 3); excluded <- Seq(false, true)) {
+    test(s"each aggregate's scan returns the fields it reads bit for bit (d=$d exclusion=$excluded)") {
+      import java.lang.Double.doubleToLongBits
+      val rnd      = new scala.util.Random(d * 10 + (if (excluded) 1 else 0))
+      val box      = Rect(Array.fill(d)(-3.0), Array.fill(d)(9.0))
+      var excludedRows = 0
+      for (_ <- 0 until 30) {
+        val (cs, vs) = rows(rnd, rnd.nextInt(150), d)
+        val s        = LeafSample(cs, vs)
+        val ex =
+          if (!excluded || s.size == 0) null
+          else {
+            val root = KdTree.buildBalanced(cs, vs, k = 16, box)
+            TestSynopses.populate(root, cs, vs)
+            // a half-space below a random dim-0 cut covers whole nodes in any d
+            val inf = Double.PositiveInfinity
+            val cut = Array.tabulate(d)(j => if (j == 0) rnd.nextInt(12) - 3.0 else inf)
+            PartitionTree.mcf(root, Rect(Array.fill(d)(-inf), cut))
+          }
+        for (_ <- 0 until 20) {
+          val q                  = probe(rnd, s, d)
+          val (k, s1, s2, mn, mx) = fullScan(s, q, ex)
+          if (ex != null) excludedRows += (0 until s.size).count(i => q.contains(s.coords(i))) - k
+          for (agg <- Agg.all) {
+            val m = Moments.scan(s, q, agg, ex)
+            val what = s"$agg q=$q: $m vs ($k, $s1, $s2, $mn, $mx)"
+            assert(m.ki == s.size && m.kMatch == k, what)
+            if (agg != Agg.Count)
+              assert(doubleToLongBits(m.sum) == doubleToLongBits(s1) &&
+                     doubleToLongBits(m.sumSq) == doubleToLongBits(s2), what)
+            if (agg == Agg.Min || agg == Agg.Max)
+              assert(doubleToLongBits(m.min) == doubleToLongBits(mn) &&
+                     doubleToLongBits(m.max) == doubleToLongBits(mx), what)
+          }
+        }
+      }
+      if (excluded) assert(excludedRows > 0, "no probe excluded a row")
+    }
   }
 }

@@ -47,6 +47,53 @@ object TestSynopses {
     new PassSynopsis(root, leaves, samples, cs.length.toLong, zeroVarRule)
   }
 
+  /** Sets every leaf's exact statistics from the rows routed to it, then
+    * rolls them up; returns the leaves' row indices, by leaf id.
+    */
+  def populate(root: TreeNode, pts: Array[Array[Double]], vals: Array[Double]): Array[Array[Int]] = {
+    val leaves = root.leaves.toArray
+    val rows   = pts.indices.groupBy(i => PartitionTree.leafOf(root, pts(i)))
+    for (l <- leaves) {
+      val ids = rows.getOrElse(l.leafId, IndexedSeq.empty)
+      l.count = ids.length
+      l.sum = ids.foldLeft(0.0)((s, i) => s + vals(i))
+      l.min = ids.foldLeft(Double.PositiveInfinity)((m, i) => math.min(m, vals(i)))
+      l.max = ids.foldLeft(Double.NegativeInfinity)((m, i) => math.max(m, vals(i)))
+    }
+    PartitionTree.rollUpTree(root)
+    leaves.map(l => rows.getOrElse(l.leafId, IndexedSeq.empty).toArray)
+  }
+
+  /** A d-dimensional PASS synopsis over in-memory rows: a kd tree of at most
+    * `k` leaves (greedy KD-PASS or balanced), exact leaf statistics, and
+    * `samplesPerLeaf` rows per leaf drawn without replacement.
+    */
+  def buildKd(pts: Array[Array[Double]], vals: Array[Double], box: Rect, k: Int, greedy: Boolean,
+              samplesPerLeaf: Int, seed: Long = 1, zeroVarRule: Boolean = true): PassSynopsis = {
+    val root =
+      if (greedy) KdTree.buildGreedy(pts, vals, k, Agg.Sum, box)
+      else KdTree.buildBalanced(pts, vals, k, box)
+    val rows = populate(root, pts, vals)
+    val rnd  = new scala.util.Random(seed)
+    val samples = rows.map { idx =>
+      val chosen = rnd.shuffle(idx.toSeq).take(samplesPerLeaf).toArray
+      LeafSample(chosen.map(pts), chosen.map(vals))
+    }
+    new PassSynopsis(root, root.leaves.toArray, samples, pts.length.toLong, zeroVarRule)
+  }
+
+  /** Deterministic d-dimensional rows on an integer grid of side `side` (so
+    * medians, splits and query edges coincide), whose values are constant
+    * (7.0) where the first coordinate is below `side / 4`, so 0-variance
+    * nodes occur.
+    */
+  def genGrid(n: Int, d: Int, side: Int, seed: Long): (Array[Array[Double]], Array[Double]) = {
+    val rnd  = new scala.util.Random(seed)
+    val pts  = Array.fill(n)(Array.fill(d)(rnd.nextInt(side).toDouble))
+    val vals = pts.map(p => if (p(0) < side / 4) 7.0 else p.sum + 10 * rnd.nextDouble())
+    (pts, vals)
+  }
+
   /** Deterministic random (c, a) data with region-dependent value scales so
     * partitioning choices matter.
     */
