@@ -14,28 +14,19 @@ final class PrecompUniformSynopsis(val root: TreeNode, val sample: LeafSample, v
     extends Serializable {
   def storageBytes: Long = PartitionTree.storageBytes(root) + sample.storageBytes
 
+  /** Answers one query: the cover's exact aggregate, as MCF folds it, plus
+    * the uniform sample's estimate over the gap.
+    */
   def answer(q: Rect, agg: Agg): Estimate = {
-    val t        = PartitionTree.flat(root)
-    val f        = t.mcf(q, zeroVarRule = false, Frontier.ofThread)
-    var coverCnt = 0L
-    var coverSum = 0.0
-    var coverMin = Double.PositiveInfinity
-    var coverMax = Double.NegativeInfinity
-    var i        = 0
-    while (i < f.nCover) {
-      val c = f.coverIx(i)
-      coverCnt += t.count(c); coverSum += t.sum(c)
-      coverMin = math.min(coverMin, t.min(c)); coverMax = math.max(coverMax, t.max(c))
-      i += 1
-    }
+    val f = PartitionTree.flat(root).mcf(q, zeroVarRule = false, Frontier.ofThread)
     // the uniform sample restricted to the gap `q \ cover`
     val m = Moments.scan(sample, q, agg, exclude = f)
     agg match {
-      case Agg.Min => Estimate(m.extreme(agg, coverCnt, coverMin), Double.NaN, processedSamples = m.ki)
-      case Agg.Max => Estimate(m.extreme(agg, coverCnt, coverMax), Double.NaN, processedSamples = m.ki)
+      case Agg.Min => Estimate(m.extreme(agg, f.coverCount, f.coverMin), Double.NaN, processedSamples = m.ki)
+      case Agg.Max => Estimate(m.extreme(agg, f.coverCount, f.coverMax), Double.NaN, processedSamples = m.ki)
       case _ =>
         // exact cover + one stratum, the whole table, sampled only in the gap
-        val est = new Stratified(agg, coverSum, coverCnt)
+        val est = new Stratified(agg, f.coverSum, f.coverCount)
         est.add(totalRows, m)
         est.estimate
     }

@@ -69,62 +69,41 @@ object Tables {
     val bs   = bundles1D(spark)
     val aggs = Seq(Agg.Count, Agg.Sum, Agg.Avg)
 
-    def metricsOf(b: Bundle, answer: (Rect, Agg) => Estimate): Map[(Agg, String), Double] =
-      aggs.map(a => (a, b.name) -> Harness.evaluate(answer, b.gt, b.queries, a).medianRelErr).toMap
-
-    def passVariant(alloc: Bundle => PassBuilder.Allocation): (Double, Map[(Agg, String), Double]) = {
+    // one row: the mean build time over the bundles, and each bundle's
+    // median relative error per aggregate
+    def row(approach: String, build: Bundle => ((Rect, Agg) => Estimate, Long)): Table1Row = {
       var cost = 0.0
       val re = bs.flatMap { b =>
-        val r = PassBuilder.build(b.df, b.predCols, b.aggCol,
-          PassBuilder.Adp1D(partitions, Agg.Sum), alloc(b), seed = seed)
-        cost += r.buildMillis / 1000.0
-        metricsOf(b, r.synopsis.answer)
-      }.toMap
-      (cost / bs.size, re)
-    }
-
-    val rows = scala.collection.mutable.ArrayBuffer.empty[Table1Row]
-
-    locally { // US
-      var cost = 0.0
-      val re = bs.flatMap { b =>
-        val (syn, ms) = UniformSampling.build(b.df, b.predCols, b.aggCol, b.k, seed)
+        val (answer, ms) = build(b)
         cost += ms / 1000.0
-        metricsOf(b, syn.answer)
+        aggs.map(a => (a, b.name) -> Harness.evaluate(answer, b.gt, b.queries, a).medianRelErr)
       }.toMap
-      rows += Table1Row("US", cost / bs.size, re)
+      Table1Row(approach, cost / bs.size, re)
     }
-    locally { // ST
-      var cost = 0.0
-      val re = bs.flatMap { b =>
-        val (syn, ms) = StratifiedSampling.build(b.df, b.predCols, b.aggCol, partitions, b.k, seed)
-        cost += ms / 1000.0
-        metricsOf(b, syn.answer)
-      }.toMap
-      rows += Table1Row("ST", cost / bs.size, re)
+    def pass(alloc: Bundle => PassBuilder.Allocation)(b: Bundle): ((Rect, Agg) => Estimate, Long) = {
+      val r = PassBuilder.build(b.df, b.predCols, b.aggCol, PassBuilder.Adp1D(partitions, Agg.Sum), alloc(b),
+                                seed = seed)
+      (r.synopsis.answer, r.buildMillis)
     }
-    locally { // AQP++
-      var cost = 0.0
-      val re = bs.flatMap { b =>
-        val (syn, ms) = AqpPlusPlus.build(b.df, b.predCols, b.aggCol, partitions, b.k, seed)
-        cost += ms / 1000.0
-        metricsOf(b, syn.answer)
-      }.toMap
-      rows += Table1Row("AQP++", cost / bs.size, re)
-    }
-    locally { // PASS-ESS: rate scaled so processed tuples per query ≈ K
-      val essRate = math.min(0.5, sampleRate * partitions / 2.0)
-      val (cost, re) = passVariant(_ => PassBuilder.Rate(essRate))
-      rows += Table1Row("PASS-ESS", cost, re)
-    }
-    locally {
-      val (cost, re) = passVariant(b => PassBuilder.TotalBudget(2L * b.k))
-      rows += Table1Row("PASS-BSS2x", cost, re)
-    }
-    locally {
-      val (cost, re) = passVariant(b => PassBuilder.TotalBudget(10L * b.k))
-      rows += Table1Row("PASS-BSS10x", cost, re)
-    }
+    val essRate = math.min(0.5, sampleRate * partitions / 2.0) // PASS-ESS: processed tuples per query ≈ K
+
+    val rows = Seq(
+      row("US", { b =>
+        val (s, ms) = UniformSampling.build(b.df, b.predCols, b.aggCol, b.k, seed)
+        (s.answer, ms)
+      }),
+      row("ST", { b =>
+        val (s, ms) = StratifiedSampling.build(b.df, b.predCols, b.aggCol, partitions, b.k, seed)
+        (s.answer, ms)
+      }),
+      row("AQP++", { b =>
+        val (s, ms) = AqpPlusPlus.build(b.df, b.predCols, b.aggCol, partitions, b.k, seed)
+        (s.answer, ms)
+      }),
+      row("PASS-ESS", pass(_ => PassBuilder.Rate(essRate))),
+      row("PASS-BSS2x", pass(b => PassBuilder.TotalBudget(2L * b.k))),
+      row("PASS-BSS10x", pass(b => PassBuilder.TotalBudget(10L * b.k))),
+    )
 
     val header = f"${"approach"}%-12s ${"cost"}%-16s " +
       aggs.flatMap(a => bs.map(b => f"${a.toString.toUpperCase}%s ${b.name}%s")).map(s => f"$s%-22s").mkString
@@ -140,7 +119,7 @@ object Tables {
     val text = ("Table 1 — median relative error, measured (paper)\n" + header + "\n" +
       lines.mkString("\n"))
     bs.foreach(_.df.unpersist())
-    (rows.toSeq, text)
+    (rows, text)
   }
 
   // ------------------------------------------------------------------ Table 2

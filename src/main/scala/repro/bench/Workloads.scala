@@ -58,27 +58,4 @@ object Workloads {
       q
     }
   }
-
-  /** "Challenging" 1-D queries (Sec 5.3): random subranges of the interval
-    * with the maximum variance, identified with the discretization method.
-    */
-  def challenging1D(gt: GroundTruth, nQueries: Int, windowFrac: Double, seed: Long): Array[Rect] = {
-    require(gt.dims == 1, "challenging1D needs a 1-D ground truth")
-    val s = repro.core.SortedSample1D(gt.coords(0), gt.values)
-    // locate the δm-window with the largest sum of squares
-    val win = math.max(2, (windowFrac * s.n).toInt)
-    var bestG = 0; var bestV = -1.0
-    var g = 0
-    while (g + win <= s.n) {
-      val v = s.s2(g, g + win)
-      if (v > bestV) { bestV = v; bestG = g }
-      g += math.max(1, win / 4)
-    }
-    val rnd = new scala.util.Random(seed)
-    Array.fill(nQueries) {
-      val a = bestG + rnd.nextInt(win)
-      val b = math.min(s.n - 1, a + 1 + rnd.nextInt(win))
-      Rect.range(s.cs(math.min(a, b)), Math.nextUp(s.cs(math.max(a, b))))
-    }
-  }
 }

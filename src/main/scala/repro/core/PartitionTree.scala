@@ -219,26 +219,33 @@ final class FlatTree(root: TreeNode) {
 
   /** Algorithm 1 (MCF) with the Sec 3.4 additions: a preorder walk that
     * classifies nodes as covered, partial or pruned, stopping early at
-    * 0-variance nodes for AVG queries when `zeroVarRule` is set. It writes
-    * into `f` and returns it; nothing is allocated once `f` has served a
-    * tree this large.
+    * 0-variance nodes for AVG queries when `zeroVarRule` is set. Each covered
+    * node's exact count, sum, min and max are folded, in visit order, into the
+    * frontier's cover aggregate, the only fold of the cover. It writes into
+    * `f` and returns it; nothing is allocated once `f` has served a tree this
+    * large.
     */
   def mcf(q: Rect, zeroVarRule: Boolean, f: Frontier): Frontier = {
     f.reset(this)
     var nc = 0; var np = 0; var nz = 0; var visited = 0
-    var i  = 0
+    var cCount = 0L; var cSum = 0.0
+    var cMin   = Double.PositiveInfinity; var cMax = Double.NegativeInfinity
+    var i      = 0
     while (i < size) {
       visited += 1
       var next = skip(i) // past the subtree, unless it is descended into
       if (disjoint(i, q)) ()
-      else if (inside(i, q)) { f.coverIx(nc) = i; nc += 1 }
-      else if (count(i) == 0) () // empty partition: nothing to estimate
+      else if (inside(i, q)) {
+        f.coverIx(nc) = i; nc += 1
+        cCount += count(i); cSum += sum(i); cMin = math.min(cMin, min(i)); cMax = math.max(cMax, max(i))
+      } else if (count(i) == 0) () // empty partition: nothing to estimate
       else if (zeroVarRule && min(i) == max(i)) { f.zeroVarIx(nz) = i; nz += 1 }
       else if (next == i + 1) { f.partialIx(np) = i; np += 1 } // a leaf
       else next = i + 1
       i = next
     }
     f.nCover = nc; f.nPartial = np; f.nZeroVar = nz; f.visited = visited
+    f.coverCount = cCount; f.coverSum = cSum; f.coverMin = cMin; f.coverMax = cMax
     f
   }
 }
@@ -252,6 +259,8 @@ final class FlatTree(root: TreeNode) {
   * `zeroVarIx` partially-overlapped 0-variance nodes returned early by the
   * AVG rule (min == max, possibly internal); `visited` counts the nodes
   * touched. `cover`, `partial` and `zeroVar` read them back as nodes.
+  * `coverCount`, `coverSum`, `coverMin` and `coverMax` are the exact
+  * aggregate of the covered nodes (0, 0, +∞ and −∞ when none is).
   */
 final class Frontier {
   private[core] var tree: FlatTree = null
@@ -262,6 +271,10 @@ final class Frontier {
   var nPartial = 0
   var nZeroVar = 0
   var visited  = 0
+  var coverCount = 0L
+  var coverSum   = 0.0
+  var coverMin   = Double.PositiveInfinity
+  var coverMax   = Double.NegativeInfinity
 
   /** Points the frontier at `t`, with room for every node of it. */
   private[core] def reset(t: FlatTree): Unit = {
@@ -279,6 +292,7 @@ final class Frontier {
     c.partialIx = java.util.Arrays.copyOf(partialIx, nPartial); c.nPartial = nPartial
     c.zeroVarIx = java.util.Arrays.copyOf(zeroVarIx, nZeroVar); c.nZeroVar = nZeroVar
     c.visited = visited
+    c.coverCount = coverCount; c.coverSum = coverSum; c.coverMin = coverMin; c.coverMax = coverMax
     c
   }
 

@@ -61,120 +61,79 @@ final class PassSynopsis(
     m
   }
 
-  /** Answers one aggregate query. See `Estimate` for field semantics. MCF
-    * runs into the calling thread's reused frontier and node statistics come
-    * from the flat tree, so concurrent calls share nothing mutable.
+  /** Answers one aggregate query (Sec 3.3) in one pass over the frontier. MCF
+    * runs into the calling thread's reused frontier and folds the cover's
+    * exact aggregate. One loop then visits the partial leaves, then the
+    * 0-variance nodes: it folds their exact count, sum and extrema (the hard
+    * bounds, Sec 2.3) and adds each one's sample to the estimator. After it,
+    * each aggregate is arithmetic. Node statistics come from the flat tree,
+    * so concurrent calls share nothing mutable. See `Estimate` for field
+    * semantics.
     */
   def answer(q: Rect, agg: Agg): Estimate = {
-    val t      = PartitionTree.flat(root)
-    val f      = t.mcf(q, zeroVarRule && agg == Agg.Avg, Frontier.ofThread)
+    val t        = PartitionTree.flat(root)
+    val f        = t.mcf(q, zeroVarRule && agg == Agg.Avg, Frontier.ofThread)
+    val coverCnt = f.coverCount
+    val coverSum = f.coverSum
+    val extreme  = agg == Agg.Min || agg == Agg.Max
+    // SUM/COUNT/AVG: the exact cover + one stratum per partial leaf or
+    // 0-variance node. MIN/MAX: the partial leaves' pooled moments in `m`.
+    val est = if (extreme) null else new Stratified(agg, coverSum, coverCnt)
+    var m   = Moments.empty
+    // the frontier's exact count, sum and extrema, and SUM's hard bounds
+    // (generalized for possibly-negative values), each folded in visit order
+    var fCnt = 0L; var fSum = 0.0
+    var fMin = Double.PositiveInfinity; var fMax = Double.NegativeInfinity
+    var lb   = coverSum; var ub = coverSum
     val nPart  = f.nPartial
     val nFront = nPart + f.nZeroVar
-    // the frontier: partial leaves, then 0-variance nodes
-    def front(i: Int): Int = if (i < nPart) f.partialIx(i) else f.zeroVarIx(i - nPart)
-
-    var coverSum = 0.0
-    var coverCnt = 0L
-    var i        = 0
-    while (i < f.nCover) { val c = f.coverIx(i); coverSum += t.sum(c); coverCnt += t.count(c); i += 1 }
-    var frontCnt = 0L
-    i = 0
-    while (i < nFront) { frontCnt += t.count(front(i)); i += 1 }
-    val skipRate = if (totalRows == 0) 1.0 else 1.0 - frontCnt.toDouble / totalRows
-
-    // exact cover + one stratum per partial leaf / 0-variance node; `while`, as a
-    // closure capturing `est` would heap-allocate it and every leaf's Moments
-    def estimator(): Stratified = {
-      val est = new Stratified(agg, coverSum, coverCnt)
-      var i = 0
-      while (i < nPart) {
-        val l = f.partialIx(i)
-        est.add(t.count(l), Moments.scan(samples(t.leafId(l)), q, agg))
-        i += 1
-      }
-      i = 0
-      while (i < f.nZeroVar) { // a 0-variance node's sample lives at the leaves below it
-        val z = f.zeroVarIx(i)
-        est.addConstant(t.count(z), pooledMoments(t.leafLo(z), t.leafHi(z), q, agg), t.min(z))
-        i += 1
-      }
-      est
+    var i      = 0
+    // `while`: a closure capturing `est` would heap-allocate it and every Moments
+    while (i < nFront) {
+      val n = if (i < nPart) f.partialIx(i) else f.zeroVarIx(i - nPart)
+      fCnt += t.count(n); fSum += t.sum(n)
+      fMin = math.min(fMin, t.min(n)); fMax = math.max(fMax, t.max(n))
+      lb += (if (t.min(n) >= 0) 0.0 else t.count(n) * math.min(0.0, t.min(n)))
+      ub += (if (t.min(n) >= 0) t.sum(n) else t.count(n) * math.max(0.0, t.max(n)))
+      if (i >= nPart) // a 0-variance node's sample lives at the leaves below it
+        est.addConstant(t.count(n), pooledMoments(t.leafLo(n), t.leafHi(n), q, agg), t.min(n))
+      else if (extreme) m = m + Moments.scan(samples(t.leafId(n)), q, agg)
+      else est.add(t.count(n), Moments.scan(samples(t.leafId(n)), q, agg))
+      i += 1
     }
+    val skipRate = if (totalRows == 0) 1.0 else 1.0 - fCnt.toDouble / totalRows
 
     agg match {
-      case Agg.Sum =>
-        val est = estimator()
-        // hard bounds (Sec 2.3), generalized for possibly-negative values
-        var lb = coverSum; var ub = coverSum
-        i = 0
-        while (i < nFront) {
-          val n = front(i)
-          lb += (if (t.min(n) >= 0) 0.0 else t.count(n) * math.min(0.0, t.min(n)))
-          ub += (if (t.min(n) >= 0) t.sum(n) else t.count(n) * math.max(0.0, t.max(n)))
-          i += 1
-        }
-        Estimate(est.value, est.ciHalf, lb, ub, est.processed, skipRate)
+      case Agg.Sum => Estimate(est.value, est.ciHalf, lb, ub, est.processed, skipRate)
 
-      case Agg.Count =>
-        val est = estimator()
-        val ub  = coverCnt.toDouble + frontCnt // no 0-variance node: the frontier is the partial leaves
-        Estimate(est.value, est.ciHalf, coverCnt.toDouble, ub, est.processed, skipRate)
+      case Agg.Count => // no 0-variance node: the frontier is the partial leaves
+        Estimate(est.value, est.ciHalf, coverCnt.toDouble, coverCnt.toDouble + fCnt, est.processed, skipRate)
 
       case Agg.Avg =>
-        val est = estimator()
-        // hard bounds (Sec 2.3) from the frontier's extrema, ordered as
-        // `Seq.min`/`max` order doubles (NaN above every number)
-        val coveredAvg =
-          if (coverCnt > 0) coverSum / coverCnt else Double.NaN
-        var fMin = Double.NaN; var fMax = Double.NaN; var fSum = 0.0
-        i = 0
-        while (i < nFront) {
-          val n = front(i)
-          if (i == 0 || java.lang.Double.compare(t.min(n), fMin) < 0) fMin = t.min(n)
-          if (i == 0 || java.lang.Double.compare(t.max(n), fMax) > 0) fMax = t.max(n)
-          fSum += t.sum(n)
-          i += 1
-        }
-        val lb =
-          if (nFront == 0) coveredAvg
-          else if (coverCnt == 0) fMin
-          else math.min(coveredAvg, fMin)
-        val ub =
-          if (nFront == 0) coveredAvg
-          else if (coverCnt == 0) fMax
-          else math.max(coveredAvg, fMax)
+        // hard bounds from the cover's average and the frontier's extrema
+        // (±∞ when the frontier is empty); a NaN cover average drops out only
+        // when the frontier has rows
+        val coveredAvg = if (coverCnt > 0) coverSum / coverCnt else Double.NaN
+        val frontOnly  = coverCnt == 0 && nFront > 0
+        val avgLb      = if (frontOnly) fMin else math.min(coveredAvg, fMin)
+        val avgUb      = if (frontOnly) fMax else math.max(coveredAvg, fMax)
         val value = est.value
         if (value.isNaN && nFront > 0) {
           // nothing covered and no sampled tuple matched: answer the frontier's
           // exact average, which lies in [lb, ub], with the bounds as the CI
-          val v = fSum / frontCnt
-          Estimate(v, math.max(ub - v, v - lb), lb, ub, est.processed, skipRate)
-        } else Estimate(value, est.ciHalf, lb, ub, est.processed, skipRate)
+          val v = fSum / fCnt
+          Estimate(v, math.max(avgUb - v, v - avgLb), avgLb, avgUb, est.processed, skipRate)
+        } else Estimate(value, est.ciHalf, avgLb, avgUb, est.processed, skipRate)
 
-      case Agg.Min | Agg.Max =>
-        val isMin = agg == Agg.Min
-        // the cover's extreme, the partial leaves' pooled moments, and their
-        // exact extreme, each folded in visit order
-        var coverExt = if (isMin) Double.PositiveInfinity else Double.NegativeInfinity
-        i = 0
-        while (i < f.nCover) {
-          val c = f.coverIx(i)
-          coverExt = if (isMin) math.min(coverExt, t.min(c)) else math.max(coverExt, t.max(c))
-          i += 1
-        }
-        var m       = Moments.empty
-        var leafExt = coverExt
-        i = 0
-        while (i < nPart) {
-          val l = f.partialIx(i)
-          m = m + Moments.scan(samples(t.leafId(l)), q, agg)
-          leafExt = if (isMin) math.min(leafExt, t.min(l)) else math.max(leafExt, t.max(l))
-          i += 1
-        }
-        // the observed minimum can only overestimate the true minimum (+∞ if
-        // none is observed); the exact leaf extremes bound it from below
-        if (isMin) Estimate(m.extreme(agg, coverCnt, coverExt), Double.NaN, leafExt, math.min(coverExt, m.min), m.ki, skipRate)
-        else Estimate(m.extreme(agg, coverCnt, coverExt), Double.NaN, math.max(coverExt, m.max), leafExt, m.ki, skipRate)
+      // the observed minimum can only overestimate the true minimum (+∞ if
+      // none is observed); the exact extremes of the cover and the partial
+      // leaves bound it from below
+      case Agg.Min =>
+        Estimate(m.extreme(agg, coverCnt, f.coverMin), Double.NaN, math.min(f.coverMin, fMin),
+                 math.min(f.coverMin, m.min), m.ki, skipRate)
+      case Agg.Max =>
+        Estimate(m.extreme(agg, coverCnt, f.coverMax), Double.NaN, math.max(f.coverMax, m.max),
+                 math.max(f.coverMax, fMax), m.ki, skipRate)
     }
   }
 }

@@ -78,12 +78,4 @@ class GroundTruthSpec extends SparkSpec {
     assert(rects.count(r => gt2.count(r) >= 50) >= 25,
            "most rect queries should satisfy the min-count constraint")
   }
-
-  test("challenging queries concentrate on the max-variance window") {
-    val qs = Workloads.challenging1D(gt1, 20, windowFrac = 0.05, seed = 5)
-    assert(qs.length == 20)
-    val spans = qs.map(q => q.hi(0) - q.lo(0))
-    val full  = gt1.coords(0).max - gt1.coords(0).min
-    assert(spans.forall(_ < full * 0.25), "challenging queries must be narrow")
-  }
 }

@@ -75,6 +75,7 @@ class AnswerPathSpec extends AnyFunSuite {
   /** Each synopsis with its probe queries. */
   private def synopses: Seq[(String, (Rect, Agg) => Estimate, Array[Rect])] = {
     val p1      = pass1D
+    val signed  = TestSynopses.build1D(cs, TestSynopses.straddleZero(as), cuts, samplesPerLeaf = 25, seed = 3)
     val kd2     = passKd(2, greedy = true)
     val kd3     = passKd(3, greedy = false)
     val rows1D  = cs.map(Array(_))
@@ -86,6 +87,7 @@ class AnswerPathSpec extends AnyFunSuite {
     val box2 = Rect(Array(0.0, 0.0), Array(16.0, 16.0))
     Seq(
       ("PASS 1-D", p1.answer _, queries(box1D, 1)),
+      ("PASS 1-D signed", signed.answer _, queries(box1D, 8)),
       ("PASS kd d=2", kd2.answer _, queries(box2, 2)),
       ("PASS kd d=3", kd3.answer _, queries(Rect(Array.fill(3)(0.0), Array.fill(3)(16.0)), 3)),
       ("ST", new StratifiedSampleSynopsis(p1).answer _, queries(box1D, 4)),
@@ -98,16 +100,19 @@ class AnswerPathSpec extends AnyFunSuite {
   }
 
   /** The digests of `synopses`' answers from the recursive-MCF, full-scan
-    * answer path that the flat traversal and the aggregate-aware scan replaced.
+    * answer path that the flat traversal and the aggregate-aware scan replaced;
+    * "PASS 1-D signed" from the flat path that still folded the cover and each
+    * aggregate's bounds in loops of their own.
     */
   private val recorded = Map(
-    "PASS 1-D"    -> -1958027687398796924L,
-    "PASS kd d=2" -> 1542559968924792100L,
-    "PASS kd d=3" -> -7728586348667109736L,
-    "ST"          -> 5357813917794965109L,
-    "US"          -> -9063961612869733308L,
-    "AQP++"       -> -686118962474269608L,
-    "KD-US"       -> -8391532771942810156L,
+    "PASS 1-D"        -> -1958027687398796924L,
+    "PASS 1-D signed" -> 5767945390019850346L,
+    "PASS kd d=2"     -> 1542559968924792100L,
+    "PASS kd d=3"     -> -7728586348667109736L,
+    "ST"              -> 5357813917794965109L,
+    "US"              -> -9063961612869733308L,
+    "AQP++"           -> -686118962474269608L,
+    "KD-US"           -> -8391532771942810156L,
   )
 
   test("PASS, ST, US and AQP++/KD-US answer bit for bit as the recursive-MCF, full-scan path did") {

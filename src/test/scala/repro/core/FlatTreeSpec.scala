@@ -1,11 +1,14 @@
 package repro.core
 
+import java.lang.Double.{doubleToLongBits => bits}
+
 import org.scalatest.funsuite.AnyFunSuite
 
 /** The flat preorder MCF (`FlatTree.mcf`, and `PartitionTree.mcf` over it)
   * against the recursive reference (`ReferenceMcf`): the same cover, partial
-  * and 0-variance nodes, in the same order, and the same `visited`, on 1-D
-  * and kd trees, with and without the 0-variance rule.
+  * and 0-variance nodes, in the same order, the same `visited`, and the
+  * cover's aggregate folded as over the reference cover, on 1-D and kd
+  * trees, with and without the 0-variance rule.
   */
 class FlatTreeSpec extends AnyFunSuite {
 
@@ -44,6 +47,12 @@ class FlatTreeSpec extends AnyFunSuite {
     assert(same(f.partial, r.partial), s"$what: partial")
     assert(same(f.zeroVar, r.zeroVar), s"$what: zeroVar")
     assert(f.visited == r.visited, s"$what: visited ${f.visited} vs ${r.visited}")
+    // the cover aggregate: bit-equal to an in-order fold over the reference cover
+    val c = r.cover
+    assert(f.coverCount == c.map(_.count).sum, s"$what: coverCount")
+    assert(bits(f.coverSum) == bits(c.foldLeft(0.0)(_ + _.sum)), s"$what: coverSum ${f.coverSum}")
+    assert(bits(f.coverMin) == bits(c.foldLeft(Inf)((m, n) => math.min(m, n.min))), s"$what: coverMin")
+    assert(bits(f.coverMax) == bits(c.foldLeft(-Inf)((m, n) => math.max(m, n.max))), s"$what: coverMax")
   }
 
   /** Checks `root` on its probes, through the adapter and through one

@@ -74,35 +74,41 @@ class SynopsisSpec extends AnyFunSuite {
 
   for (seed <- 0 until 4; agg <- Seq(Agg.Sum, Agg.Count, Agg.Avg)) {
     test(s"hard bounds always contain the truth ($agg, seed=$seed)") {
-      val (cs, as) = TestSynopses.genData(600, seed + 20)
-      val syn = TestSynopses.build1D(cs, as, Array(20.0, 40.0, 60.0, 80.0),
-                                     samplesPerLeaf = 5, seed = seed)
-      val rnd = new scala.util.Random(seed + 60)
-      for (_ <- 0 until 30) {
-        val q     = randomQuery(rnd)
-        val truth = exact(cs, as, q, agg)
-        val est   = syn.answer(q, agg)
-        if (!truth.isNaN) {
-          assert(est.lb <= truth + 1e-6 * (1 + truth.abs), s"q=$q lb=${est.lb} truth=$truth")
-          assert(est.ub >= truth - 1e-6 * (1 + truth.abs), s"q=$q ub=${est.ub} truth=$truth")
+      val (cs, values) = TestSynopses.genData(600, seed + 20)
+      // non-negative values, and the same shifted to straddle 0
+      for (as <- Seq(values, TestSynopses.straddleZero(values))) {
+        val syn = TestSynopses.build1D(cs, as, Array(20.0, 40.0, 60.0, 80.0),
+                                       samplesPerLeaf = 5, seed = seed)
+        val rnd = new scala.util.Random(seed + 60)
+        for (_ <- 0 until 30) {
+          val q     = randomQuery(rnd)
+          val truth = exact(cs, as, q, agg)
+          val est   = syn.answer(q, agg)
+          if (!truth.isNaN) {
+            assert(est.lb <= truth + 1e-6 * (1 + truth.abs), s"q=$q lb=${est.lb} truth=$truth")
+            assert(est.ub >= truth - 1e-6 * (1 + truth.abs), s"q=$q ub=${est.ub} truth=$truth")
+          }
         }
       }
     }
   }
 
   test("MIN/MAX hard bounds bracket the truth") {
-    val (cs, as) = TestSynopses.genData(600, 77)
-    val syn = TestSynopses.build1D(cs, as, Array(30.0, 60.0), samplesPerLeaf = 8, seed = 7)
-    val rnd = new scala.util.Random(8)
-    for (_ <- 0 until 25) {
-      val q = randomQuery(rnd)
-      val tMin = exact(cs, as, q, Agg.Min)
-      val tMax = exact(cs, as, q, Agg.Max)
-      if (!tMin.isNaN) {
-        val eMin = syn.answer(q, Agg.Min)
-        val eMax = syn.answer(q, Agg.Max)
-        assert(eMin.lb <= tMin + 1e-9 && tMin <= eMin.ub + 1e-9, s"q=$q MIN")
-        assert(eMax.lb <= tMax + 1e-9 && tMax <= eMax.ub + 1e-9, s"q=$q MAX")
+    val (cs, values) = TestSynopses.genData(600, 77)
+    // non-negative values, and the same shifted to straddle 0
+    for (as <- Seq(values, TestSynopses.straddleZero(values))) {
+      val syn = TestSynopses.build1D(cs, as, Array(30.0, 60.0), samplesPerLeaf = 8, seed = 7)
+      val rnd = new scala.util.Random(8)
+      for (_ <- 0 until 25) {
+        val q = randomQuery(rnd)
+        val tMin = exact(cs, as, q, Agg.Min)
+        val tMax = exact(cs, as, q, Agg.Max)
+        if (!tMin.isNaN) {
+          val eMin = syn.answer(q, Agg.Min)
+          val eMax = syn.answer(q, Agg.Max)
+          assert(eMin.lb <= tMin + 1e-9 && tMin <= eMin.ub + 1e-9, s"q=$q MIN")
+          assert(eMax.lb <= tMax + 1e-9 && tMax <= eMax.ub + 1e-9, s"q=$q MAX")
+        }
       }
     }
   }

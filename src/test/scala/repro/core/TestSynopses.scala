@@ -106,4 +106,9 @@ object TestSynopses {
     }
     (cs, as)
   }
+
+  /** `genData` values shifted down by 60 to straddle 0: its regions around 5,
+    * 50 and 200 become negative, mixed-sign and mostly positive.
+    */
+  def straddleZero(as: Array[Double]): Array[Double] = as.map(_ - 60.0)
 }
