@@ -10,15 +10,15 @@ import repro.core._
   * baselines differ only in how partitions are chosen: AQP++ runs the paper's
   * hill-climbing heuristic in 1-D; KD-US expands a balanced kd-tree.
   */
-final class PrecompUniformSynopsis(val root: TreeNode, val sample: LeafSample, val totalRows: Long)
+final class PrecompUniformSynopsis(val tree: FlatTree, val sample: LeafSample, val totalRows: Long)
     extends Serializable {
-  def storageBytes: Long = PartitionTree.storageBytes(root) + sample.storageBytes
+  def storageBytes: Long = tree.storageBytes + sample.storageBytes
 
   /** Answers one query: the cover's exact aggregate, as MCF folds it, plus
     * the uniform sample's estimate over the gap.
     */
   def answer(q: Rect, agg: Agg): Estimate = {
-    val f = PartitionTree.flat(root).mcf(q, zeroVarRule = false, Frontier.ofThread)
+    val f = tree.mcf(q, zeroVarRule = false, Frontier.ofThread)
     // the uniform sample restricted to the gap `q \ cover`
     val m = Moments.scan(sample, q, agg, exclude = f)
     agg match {
@@ -114,16 +114,18 @@ object AqpPlusPlus {
     precompUniform(df, predCols, aggCol, PassBuilder.KdBalanced(leaves), totalSamples, seed)
 
   /** Aggregates-only PASS build plus a uniform sample of min(`totalSamples`,
-    * N) rows drawn in the same first scan: two scans of the table.
+    * N) rows drawn in the same first scan: two scans of the table. One
+    * sample holds at most `Int.MaxValue` rows.
     */
   private def precompUniform(df: DataFrame, predCols: Seq[String], aggCol: String,
                              partitioner: PassBuilder.Partitioner, totalSamples: Long,
                              seed: Long): (PrecompUniformSynopsis, Long) = {
     require(totalSamples >= 1, s"sample size $totalSamples must be at least 1")
+    require(totalSamples <= Int.MaxValue, s"sample size $totalSamples exceeds ${Int.MaxValue} rows")
     val t0   = System.nanoTime()
     val p    = PassBuilder.prepare(df, predCols, aggCol, seed, uniformSize = totalSamples.toInt)
     val pass = PassBuilder.buildPrepared(p, partitioner, PassBuilder.PerLeaf(0), seed)
-    val syn  = new PrecompUniformSynopsis(pass.root, p.uniform, p.totalRows)
+    val syn  = new PrecompUniformSynopsis(pass.tree, p.uniform, p.totalRows)
     (syn, (System.nanoTime() - t0) / 1000000L)
   }
 }

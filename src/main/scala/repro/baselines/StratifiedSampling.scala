@@ -19,13 +19,12 @@ final class StratifiedSampleSynopsis(private val pass: PassSynopsis) extends Ser
     val extreme = agg == Agg.Min || agg == Agg.Max
     val est     = new Stratified(agg)
     var pooled  = Moments.empty // MIN/MAX: the union of the strata's samples
-    val leaves  = pass.leaves
+    val t       = pass.tree
     var i       = 0
-    while (i < leaves.length) {
-      val l = leaves(i)
-      if (!l.bounds.disjoint(q) && l.count > 0) {
-        val m = Moments.scan(pass.samples(l.leafId), q, agg)
-        if (extreme) pooled = pooled + m else est.add(l.count, m)
+    while (i < t.size) { // the leaves, in leaf-id order
+      if (t.isLeaf(i) && !t.disjoint(i, q) && t.count(i) > 0) {
+        val m = Moments.scan(pass.samples(t.leafId(i)), q, agg)
+        if (extreme) pooled = pooled + m else est.add(t.count(i), m)
       }
       i += 1
     }

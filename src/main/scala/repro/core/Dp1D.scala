@@ -4,15 +4,14 @@ package repro.core
   *
   * All variants minimize, over partitionings into `k` contiguous buckets of the
   * sorted optimization sample, the maximum single-partition query variance —
-  * the surrogate objective justified by Lemma 4.1. They differ in how the
-  * per-partition max-variance oracle is evaluated and whether the inner `min`
-  * over split points is scanned or binary-searched:
+  * the surrogate objective justified by Lemma 4.1:
   *
-  *  - [[Dp1D.naive]]   brute-force oracle, linear scan        — O(k·m⁴)
-  *  - [[Dp1D.fast]]    brute-force oracle, monotone binsearch — O(k·m³·log m)
-  *  - [[Dp1D.adp]]     discretized oracle,  monotone binsearch — O(k·m·log m)
+  *  - [[Dp1D.adp]]     discretized oracle, monotone binsearch — O(k·m·log m)
   *                      (the `**` algorithm used in the paper's experiments)
   *  - [[Dp1D.equalDepth]] equal-count buckets — optimal for COUNT (Lemma A.1)
+  *
+  * The exact DPs over the brute-force oracle (O(k·m⁴) with a linear split
+  * scan, O(k·m³·log m) with the binary search) are the tests' oracles.
   */
 object Dp1D {
 
@@ -86,14 +85,6 @@ object Dp1D {
     bounds(0) = 0
     toPartitioning(s, bounds, prev(m))
   }
-
-  /** Strawman exact DP: brute-force oracle, linear split scan. Reference only. */
-  def naive(s: SortedSample1D, k: Int, agg: Agg, minLen: Int = 1): Partitioning1D =
-    dp(s, k, (p1, p2) => MaxVar.brute(s, agg, p1, p2, minLen), binarySearch = false)
-
-  /** Exact oracle with the monotone binary search over split points. */
-  def fast(s: SortedSample1D, k: Int, agg: Agg, minLen: Int = 1): Partitioning1D =
-    dp(s, k, (p1, p2) => MaxVar.brute(s, agg, p1, p2, minLen), binarySearch = true)
 
   /** The sampling + discretization ADP used in the paper's experiments:
     * SUM/COUNT use the median-split 4-approximate oracle (Lemma A.3), AVG the

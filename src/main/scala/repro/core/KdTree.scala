@@ -9,15 +9,13 @@ import scala.collection.mutable.ArrayBuffer
   * (approximate) maximum-variance query, keeping leaf depths within a skew of
   * 2 as in the paper's experiments; KD-US (the baseline) always expands the
   * shallowest leaf. Construction runs on the driver over the optimization
-  * sample and returns a partition-tree skeleton: children in mask order (bit j
-  * = `x(j) >= median j`, as `PartitionTree.leafOf` routes), leaves numbered in
-  * DFS order, no statistics yet.
+  * sample and lays the finished tree out as a [[FlatTree]] skeleton: children
+  * in mask order (bit j = `x(j) >= median j`, as `FlatTree.leafOf` routes),
+  * leaves numbered in DFS order, no statistics yet.
   */
 object KdTree {
 
-  /** A construction node over the optimization sample; [[finish]] turns the
-    * finished tree into the `TreeNode` skeleton.
-    */
+  /** A construction node over the optimization sample. */
   private final class KdNode(val rect: Rect, val depth: Int) {
     var children: Array[KdNode] = _
     var points: Array[Int]      = _
@@ -112,23 +110,12 @@ object KdTree {
       }
     }
 
-  /** Converts the construction tree into a skeleton with DFS leaf ids, so
-    * every subtree owns a contiguous leaf-id range (the 0-variance rule's need).
-    */
-  private def finish(root: KdNode): TreeNode = {
-    var nextId = 0
-    def rec(n: KdNode): TreeNode =
-      if (n.children == null) { nextId += 1; PartitionTree.leaf(n.rect, nextId - 1) }
-      else new TreeNode(n.rect, n.children.map(rec), -1)
-    rec(root)
-  }
-
   /** KD-PASS: greedy expansion of the max-approximate-variance leaf until `k`
     * leaves, with leaf depths kept within a skew of 2 of the shallowest
     * still-splittable leaf (the paper's setting).
     */
   def buildGreedy(pts: Array[Array[Double]], vals: Array[Double], k: Int, agg: Agg,
-                  rootRect: Rect): TreeNode = {
+                  rootRect: Rect): FlatTree = {
     val deltaM = math.max(4, pts.length / (4 * math.max(1, k)))
     grow(pts, vals, k, rootRect, agg, deltaM) { cands =>
       val minD = cands.map(_.depth).min
@@ -139,7 +126,7 @@ object KdTree {
   /** KD-US's partitioning: always expand the shallowest splittable leaf (ties
     * broken by insertion order), yielding a balanced tree of `<= k` leaves.
     */
-  def buildBalanced(pts: Array[Array[Double]], vals: Array[Double], k: Int, rootRect: Rect): TreeNode =
+  def buildBalanced(pts: Array[Array[Double]], vals: Array[Double], k: Int, rootRect: Rect): FlatTree =
     grow(pts, vals, k, rootRect, Agg.Count, 1)(_.minBy(_.depth))
 
   /** The one expansion loop: while another split keeps the tree within `k`
@@ -147,7 +134,7 @@ object KdTree {
     * split it.
     */
   private def grow(pts: Array[Array[Double]], vals: Array[Double], k: Int, rootRect: Rect, agg: Agg,
-                   deltaM: Int)(pick: ArrayBuffer[KdNode] => KdNode): TreeNode = {
+                   deltaM: Int)(pick: ArrayBuffer[KdNode] => KdNode): FlatTree = {
     require(pts.nonEmpty, "no optimization sample")
     val fanout = 1 << rootRect.dims
     val root   = new KdNode(rootRect, 0)
@@ -161,6 +148,6 @@ object KdTree {
       cands ++= expand(p, pts, vals, agg, deltaM).filter(splittable(_, pts, fanout))
       nLeaves += fanout - 1
     }
-    finish(root)
+    FlatTree.layout(root)(_.rect, n => if (n.children == null) Nil else n.children.toSeq)
   }
 }

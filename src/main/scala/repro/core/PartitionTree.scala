@@ -1,191 +1,144 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.ArrayBuffer
 
-/** A node of the PASS partition tree (Definition 3.1): a rectangle of predicate
-  * space annotated with the exact SUM/COUNT/MIN/MAX of the aggregation column
-  * over the tuples it contains. Leaves carry a `leafId >= 0` that keys both the
-  * partition-aggregate table and the stratified sample; every node knows the
-  * contiguous `[leafLo, leafHi]` id range of its descendant leaves so the
-  * 0-variance rule can pool their samples without re-walking the tree.
-  * Queries read a root's [[FlatTree]], built from the skeleton on first use.
+/** A read-only view of node `ix` of `tree` (Definition 3.1): a rectangle of
+  * predicate space with the exact SUM/COUNT/MIN/MAX of the aggregation column
+  * over the tuples it contains. A leaf's `leafId >= 0` keys its stratified
+  * sample; every node knows the contiguous `[leafLo, leafHi]` id range of its
+  * descendant leaves. It stores nothing of its own: every field is read from
+  * the tree's arrays.
   */
-final class TreeNode(
-    val bounds: Rect,
-    val children: Array[TreeNode],
-    val leafId: Int,
-    var count: Long = 0L,
-    var sum: Double = 0.0,
-    var min: Double = Double.PositiveInfinity,
-    var max: Double = Double.NegativeInfinity,
-) extends Serializable {
-  def isLeaf: Boolean = children.isEmpty
-  var leafLo: Int = leafId
-  var leafHi: Int = leafId
+final case class TreeNode(tree: FlatTree, ix: Int) {
+  def bounds: Rect = {
+    val (from, to) = (ix * tree.dims, (ix + 1) * tree.dims)
+    Rect(java.util.Arrays.copyOfRange(tree.lo, from, to), java.util.Arrays.copyOfRange(tree.hi, from, to))
+  }
+  def isLeaf: Boolean = tree.isLeaf(ix)
+  def leafId: Int     = tree.leafId(ix)
+  def leafLo: Int     = tree.leafLo(ix)
+  def leafHi: Int     = tree.leafHi(ix)
+  def count: Long     = tree.count(ix)
+  def sum: Double     = tree.sum(ix)
+  def min: Double     = tree.min(ix)
+  def max: Double     = tree.max(ix)
 
-  /** The flat form of the tree under this node, once a query has built it. */
-  @transient private[core] var flat: FlatTree = null
+  /** The children, in child order. */
+  def children: IndexedSeq[TreeNode] =
+    Iterator.iterate(ix + 1)(tree.skip(_)).takeWhile(_ < tree.skip(ix)).map(TreeNode(tree, _)).toIndexedSeq
 
-  /** All nodes in preorder. */
-  def preorder: Iterator[TreeNode] =
-    Iterator.single(this) ++ children.iterator.flatMap(_.preorder)
+  /** All nodes of the subtree in preorder. */
+  def preorder: Iterator[TreeNode] = Iterator.range(ix, tree.skip(ix)).map(TreeNode(tree, _))
 
   def leaves: Iterator[TreeNode] = preorder.filter(_.isLeaf)
 }
 
 object PartitionTree {
 
-  def leaf(bounds: Rect, id: Int): TreeNode = new TreeNode(bounds, Array.empty, id)
-
   /** The 1-D skeleton over interior `cuts` (sorted, duplicates allowed): leaf
     * `j` spans `[edge j, edge j+1)` of `box.lo +: cuts :+ box.hi`, so the outer
     * leaves are clamped to the data box. The leaves sit under a balanced binary
     * tree (Sec 4.1: "construct the full tree with a bottom-up aggregation" — the
-    * shape only affects lookup cost, not accuracy); statistics are filled in
-    * later and rolled up with [[rollUpTree]].
+    * shape only affects lookup cost, not accuracy); statistics are set later
+    * with [[FlatTree.withLeafStats]].
     */
-  def build1D(cuts: Array[Double], box: Rect): TreeNode = {
+  def build1D(cuts: Array[Double], box: Rect): FlatTree = {
     val edges = box.lo(0) +: cuts :+ box.hi(0)
-    def rec(lo: Int, hi: Int): TreeNode = {
-      val rect = Rect.range(edges(lo), edges(hi))
-      if (hi - lo == 1) leaf(rect, lo)
-      else {
-        val mid = (lo + hi) / 2
-        new TreeNode(rect, Array(rec(lo, mid), rec(mid, hi)), -1)
-      }
-    }
-    rec(0, edges.length - 1)
+    // a node is the edge range [lo, hi) of its leaves
+    FlatTree.layout((0, edges.length - 1))(
+      { case (lo, hi) => Rect.range(edges(lo), edges(hi)) },
+      { case (lo, hi) => if (hi - lo == 1) Nil else Seq((lo, (lo + hi) / 2), ((lo + hi) / 2, hi)) })
   }
 
-  /** Routes a point to the id of its leaf without allocating. Every internal
-    * node splits its box at one point per dimension into `2^d` children, bit
-    * `j` of the child index meaning "upper side in dimension j" (the 1-D
-    * binary tree is the `d = 1` case), so child `2^j`'s lower edge in `j` is
-    * the split. A point inside the root box reaches the leaf whose box contains
-    * it; a point on a split goes to the upper side; a point outside the box, or
-    * NaN, goes to a boundary leaf (the builder drops NaN rows before routing).
-    */
-  def leafOf(root: TreeNode, x: Array[Double]): Int = {
-    var node = root
-    while (!node.isLeaf) {
-      val cs    = node.children
-      var child = 0
-      var j     = 0
-      while ((1 << j) < cs.length) {
-        if (x(j) >= cs(1 << j).bounds.lo(j)) child |= 1 << j
-        j += 1
-      }
-      node = cs(child)
-    }
-    node.leafId
-  }
-
-  /** Recomputes a node's aggregate statistics and leaf-id span from its
-    * children (one step of the bottom-up aggregation).
-    */
-  def rollUpStats(node: TreeNode): Unit = {
-    if (node.isLeaf) return
-    node.count = node.children.map(_.count).sum
-    node.sum = node.children.map(_.sum).sum
-    node.min = node.children.map(_.min).min
-    node.max = node.children.map(_.max).max
-    node.leafLo = node.children.map(_.leafLo).min
-    node.leafHi = node.children.map(_.leafHi).max
-  }
-
-  /** Footprint in bytes of a tree's exact aggregates: per node, two bounds per
-    * dimension plus count, sum, min and max.
-    */
-  def storageBytes(root: TreeNode): Long = root.preorder.size.toLong * (2L * root.bounds.dims + 4L) * 8L
-
-  /** Rolls statistics up an entire skeleton tree whose leaves are populated,
-    * dropping any flat form built from the old statistics.
-    */
-  def rollUpTree(root: TreeNode): Unit = {
-    root.children.foreach(rollUpTree)
-    rollUpStats(root)
-    root.flat = null
-  }
-
-  /** The flat form of the tree under `root`, built once and kept on the root
-    * (not serialized: a deserialized tree builds it again on first use).
-    */
-  def flat(root: TreeNode): FlatTree = {
-    val f = root.flat // one read: another thread may build its own equal copy
-    if (f != null) f
-    else { val built = new FlatTree(root); root.flat = built; built }
-  }
-
-  /** Algorithm 1 (MCF) over the flat form of `root` (see [[FlatTree.mcf]]),
+  /** Algorithm 1 (MCF) over the tree of `root` (see [[FlatTree.mcf]]),
     * returned as a fresh [[Frontier]] the size of its result.
     */
   def mcf(root: TreeNode, q: Rect, zeroVarRule: Boolean = false): Frontier =
-    flat(root).mcf(q, zeroVarRule, Frontier.ofThread).copy()
-
-  /** Checks Definition 3.1's invariants plus statistic consistency; returns the
-    * list of violations (empty = valid). Test helper, O(tree²) on siblings.
-    */
-  def invariantViolations(root: TreeNode): Seq[String] = {
-    val errs = ArrayBuffer.empty[String]
-    for (node <- root.preorder if !node.isLeaf) {
-      val cs = node.children
-      for (c <- cs if !node.bounds.containsRect(c.bounds))
-        errs += s"child ${c.bounds} escapes parent ${node.bounds}"
-      for (i <- cs.indices; j <- i + 1 until cs.length if !cs(i).bounds.disjoint(cs(j).bounds))
-        errs += s"siblings overlap: ${cs(i).bounds} vs ${cs(j).bounds}"
-      if (cs.map(_.count).sum != node.count)
-        errs += s"count mismatch at ${node.bounds}: ${cs.map(_.count).sum} vs ${node.count}"
-      if (math.abs(cs.map(_.sum).sum - node.sum) > 1e-6 * (1 + math.abs(node.sum)))
-        errs += s"sum mismatch at ${node.bounds}"
-      if (node.count > 0 && cs.map(_.min).min != node.min) errs += s"min mismatch at ${node.bounds}"
-      if (node.count > 0 && cs.map(_.max).max != node.max) errs += s"max mismatch at ${node.bounds}"
-    }
-    errs.toSeq
-  }
+    root.tree.mcf(q, zeroVarRule, Frontier.ofThread).copy()
 }
 
-/** A partition tree laid out in preorder in primitive arrays, the form every
-  * query reads: node `i`'s bounds in dimension `j` are `lo(i * dims + j)` and
-  * `hi(i * dims + j)`, its statistics and leaf-id span sit at index `i`, its
-  * first child (if any) at `i + 1`, and `skip(i)` is the index just past its
-  * subtree. `nodes(i)` is the skeleton node it was built from.
+/** The partition tree, stored only in this form: its nodes in preorder in
+  * primitive arrays. Node `i`'s bounds in dimension `j` are `lo(i * dims + j)`
+  * and `hi(i * dims + j)`, its statistics and leaf-id span sit at index `i`,
+  * its first child (if any) at `i + 1`, each later child at the `skip` of the
+  * one before, and `skip(i)` is the index just past its subtree. An internal
+  * node has `2^dims` children, bit `j` of the child index meaning "upper side
+  * in dimension j". Leaves are numbered in preorder (an internal node's
+  * `leafId` is -1). [[FlatTree.layout]] builds a skeleton with the statistics
+  * of empty leaves; [[withLeafStats]] sets them.
   */
-final class FlatTree(root: TreeNode) {
-  val nodes: Array[TreeNode] = root.preorder.toArray
-  val size: Int              = nodes.length
-  val dims: Int              = root.bounds.dims
+final class FlatTree private (
+    val dims: Int, val lo: Array[Double], val hi: Array[Double], val skip: Array[Int],
+    val leafId: Array[Int], val leafLo: Array[Int], val leafHi: Array[Int],
+    val count: Array[Long], val sum: Array[Double], val min: Array[Double], val max: Array[Double],
+) extends Serializable {
+  val size: Int = skip.length
 
-  val lo: Array[Double]   = new Array[Double](size * dims)
-  val hi: Array[Double]   = new Array[Double](size * dims)
-  val count: Array[Long]  = nodes.map(_.count)
-  val sum: Array[Double]  = nodes.map(_.sum)
-  val min: Array[Double]  = nodes.map(_.min)
-  val max: Array[Double]  = nodes.map(_.max)
-  val leafId: Array[Int]  = nodes.map(_.leafId)
-  val leafLo: Array[Int]  = nodes.map(_.leafLo)
-  val leafHi: Array[Int]  = nodes.map(_.leafHi)
-  val skip: Array[Int]    = new Array[Int](size)
+  def leafCount: Int          = leafHi(0) + 1
+  def isLeaf(i: Int): Boolean = skip(i) == i + 1
+  def root: TreeNode          = TreeNode(this, 0)
 
-  locally {
+  /** The leaves, by leaf id. */
+  def leaves: IndexedSeq[TreeNode] = root.leaves.toIndexedSeq
+
+  /** Footprint in bytes of the tree's exact aggregates: per node, two bounds
+    * per dimension plus count, sum, min and max.
+    */
+  def storageBytes: Long = size.toLong * (2L * dims + 4L) * 8L
+
+  /** This tree with leaf `id`'s count, sum, min and max taken from index `id`
+    * of the arrays, rolled up (Sec 4.1's bottom-up aggregation): walking the
+    * preorder backwards, each internal node folds its children in child
+    * order, starting from 0, 0, +∞ and −∞.
+    */
+  def withLeafStats(leafCount: Array[Long], leafSum: Array[Double], leafMin: Array[Double],
+                    leafMax: Array[Double]): FlatTree = {
+    val c  = new Array[Long](size); val s = new Array[Double](size)
+    val mn = Array.fill(size)(Double.PositiveInfinity); val mx = Array.fill(size)(Double.NegativeInfinity)
+    var i  = size - 1
+    while (i >= 0) {
+      var k = i + 1 // the first child, if any
+      if (isLeaf(i)) {
+        val id = leafId(i)
+        c(i) = leafCount(id); s(i) = leafSum(id); mn(i) = leafMin(id); mx(i) = leafMax(id)
+      } else while (k < skip(i)) {
+        c(i) += c(k); s(i) += s(k); mn(i) = math.min(mn(i), mn(k)); mx(i) = math.max(mx(i), mx(k))
+        k = skip(k)
+      }
+      i -= 1
+    }
+    new FlatTree(dims, lo, hi, skip, leafId, leafLo, leafHi, c, s, mn, mx)
+  }
+
+  /** Routes a point to the id of its leaf without allocating. Child 0 lies
+    * below every split, so the split in dimension `j` is child 0's upper edge
+    * there; the child index found, the walk follows `skip` across the lower
+    * children. A point inside the root box reaches the leaf whose box
+    * contains it; a point on a split goes to the upper side; a point outside
+    * the box, or NaN, goes to a boundary leaf (the builder drops NaN rows).
+    */
+  def leafOf(x: Array[Double]): Int = {
     var i = 0
-    while (i < size) {
-      System.arraycopy(nodes(i).bounds.lo, 0, lo, i * dims, dims)
-      System.arraycopy(nodes(i).bounds.hi, 0, hi, i * dims, dims)
-      i += 1
+    while (!isLeaf(i)) {
+      val first = i + 1
+      val base  = first * dims
+      // dimension 0 (the only one in 1-D) and the skips are selects, not
+      // branches: a branch on a random split mispredicts half the time
+      var child = if (x(0) >= hi(base)) 1 else 0
+      var j     = 1
+      while (j < dims) {
+        if (x(j) >= hi(base + j)) child |= 1 << j
+        j += 1
+      }
+      i = first
+      var c = 1
+      while (c < (1 << dims)) { i += (skip(i) - i) & ((c - child - 1) >> 31); c += 1 } // skip if c <= child
     }
-    // node i's children follow it in preorder, each subtree after the last
-    def fillSkip(i: Int): Int = {
-      var next = i + 1
-      for (_ <- nodes(i).children) next = fillSkip(next)
-      skip(i) = next
-      next
-    }
-    fillSkip(0)
+    leafId(i)
   }
 
   /** Node `i` shares no point with `q` (as `Rect.disjoint`). */
-  private def disjoint(i: Int, q: Rect): Boolean = {
+  def disjoint(i: Int, q: Rect): Boolean = {
     val b = i * dims
     var j = 0
     while (j < dims) {
@@ -300,8 +253,7 @@ final class Frontier {
   def partial: IndexedSeq[TreeNode] = nodesOf(partialIx, nPartial)
   def zeroVar: IndexedSeq[TreeNode] = nodesOf(zeroVarIx, nZeroVar)
 
-  private def nodesOf(ix: Array[Int], n: Int): IndexedSeq[TreeNode] =
-    ArraySeq.unsafeWrapArray(Array.tabulate(n)(j => tree.nodes(ix(j))))
+  private def nodesOf(ix: Array[Int], n: Int): IndexedSeq[TreeNode] = (0 until n).map(j => TreeNode(tree, ix(j)))
 
   /** Point `x` lies in a covered node. */
   def inCover(x: Array[Double]): Boolean = {
@@ -318,4 +270,36 @@ object Frontier {
 
   /** The calling thread's frontier, for answer paths that reuse one per query. */
   def ofThread: Frontier = perThread.get()
+}
+
+object FlatTree {
+
+  /** Lays out the tree under `root` in preorder, numbering the leaves in
+    * preorder, with the statistics of empty leaves. `rect` gives a node's box
+    * and `children` its children in child order (none for a leaf).
+    */
+  def layout[N](root: N)(rect: N => Rect, children: N => Seq[N]): FlatTree = {
+    val boxes                        = ArrayBuffer.empty[Rect]
+    val skip, leafId, leafLo, leafHi = ArrayBuffer.empty[Int]
+    var leaves                       = 0
+    def visit(n: N): Unit = {
+      val i  = boxes.length
+      val cs = children(n)
+      boxes += rect(n); skip += 0; leafId += (if (cs.isEmpty) leaves else -1); leafLo += leaves; leafHi += 0
+      if (cs.isEmpty) leaves += 1 else cs.foreach(visit)
+      skip(i) = boxes.length; leafHi(i) = leaves - 1
+    }
+    visit(root)
+    val size = boxes.length
+    val dims = boxes(0).dims
+    val lo   = new Array[Double](size * dims)
+    val hi   = new Array[Double](size * dims)
+    for (i <- 0 until size) {
+      System.arraycopy(boxes(i).lo, 0, lo, i * dims, dims)
+      System.arraycopy(boxes(i).hi, 0, hi, i * dims, dims)
+    }
+    new FlatTree(dims, lo, hi, skip.toArray, leafId.toArray, leafLo.toArray, leafHi.toArray, new Array[Long](size),
+                 new Array[Double](size), Array.fill(size)(Double.PositiveInfinity),
+                 Array.fill(size)(Double.NegativeInfinity))
+  }
 }

@@ -15,10 +15,10 @@ import org.apache.spark.sql.types.DoubleType
   *     on the Spark driver), over which the partitioning optimizer (ADP /
   *     equal-depth / kd) runs there;
   *  2. one routed scan: each task sends its rows down the partition-tree
-  *     skeleton (`PartitionTree.leafOf`) and keeps per-leaf exact
+  *     skeleton (`FlatTree.leafOf`) and keeps per-leaf exact
   *     COUNT/SUM/MIN/MAX plus a per-leaf priority reservoir (`LeafStats`);
   *     the Spark driver merges the tasks' results and rolls the leaf
-  *     aggregates up the tree.
+  *     aggregates up the tree (`FlatTree.withLeafStats`).
   *
   * Both scans are Dataset actions (`mapPartitions` + `collect`) with no
   * shuffle. Rows with a null or NaN predicate coordinate or a null aggregate
@@ -152,32 +152,27 @@ object PassBuilder {
     val d = p.dataRect.dims
 
     // ---- partitioning optimization (driver, over the optimization sample) ----
-    def cuts1D(choose: SortedSample1D => Array[Double]): TreeNode = {
+    def cuts1D(choose: SortedSample1D => Array[Double]): FlatTree = {
       require(d == 1, s"partitioner $partitioner incompatible with d=$d")
       PartitionTree.build1D(choose(SortedSample1D(p.optCoords.map(_(0)), p.optValues)), p.dataRect)
     }
-    val root = partitioner match {
+    val skeleton = partitioner match {
       case Adp1D(k, agg, dm)      => cuts1D(Dp1D.adp(_, k, agg, dm).cuts)
       case EqualDepth1D(k)        => cuts1D(Dp1D.equalDepth(_, k).cuts)
       case Cuts1D(choose)         => cuts1D(choose)
       case KdGreedy(k, agg)       => KdTree.buildGreedy(p.optCoords, p.optValues, k, agg, p.dataRect)
       case KdBalanced(k)          => KdTree.buildBalanced(p.optCoords, p.optValues, k, p.dataRect)
     }
-    val leaves = root.leaves.toArray // DFS order = leaf-id order
+    val leaves = skeleton.leafCount
 
     // ---- the second scan: exact leaf aggregates + per-leaf samples ----------
     val (perLeaf, rate) = alloc match {
       case PerLeaf(n)     => (n, 0.0)
-      case TotalBudget(t) => (math.max(1L, t / leaves.length).toInt, 0.0)
+      case TotalBudget(t) => (math.max(1L, t / leaves).toInt, 0.0)
       case Rate(r)        => (2, r)
     }
-    val n = leaves.length
-    val s = scan(p.projected, d)(part => new LeafStats(root, n, d, perLeaf, rate, seed, part))
-    for (l <- leaves) {
-      val id = l.leafId
-      l.count = s.count(id); l.sum = s.sum(id); l.min = s.min(id); l.max = s.max(id)
-    }
-    PartitionTree.rollUpTree(root)
-    new PassSynopsis(root, leaves, Array.tabulate(n)(s.sample), p.totalRows)
+    val s    = scan(p.projected, d)(part => new LeafStats(skeleton, perLeaf, rate, seed, part))
+    val tree = skeleton.withLeafStats(s.count, s.sum, s.min, s.max)
+    new PassSynopsis(tree, Array.tabulate(leaves)(s.sample), p.totalRows)
   }
 }

@@ -169,24 +169,25 @@ final class TableStats(d: Int, optSize: Int, uniformSize: Int, seed: Long, parti
   }
 }
 
-/** The second build scan: routes each row to its leaf of `root` and keeps
-  * per-leaf COUNT/SUM/MIN/MAX of the value plus a per-leaf reservoir of
-  * `perLeaf` rows and rate `rate` (priority stream 2; none if both are 0).
+/** The second build scan: routes each row to its leaf of the skeleton `tree`
+  * (shipped to every task) and keeps per-leaf COUNT/SUM/MIN/MAX of the value,
+  * by leaf id, plus a per-leaf reservoir of `perLeaf` rows and rate `rate`
+  * (priority stream 2; none if both are 0).
   */
-final class LeafStats(@transient private val root: TreeNode, leaves: Int, d: Int, perLeaf: Int,
-                      rate: Double, seed: Long, partition: Int)
+final class LeafStats(@transient private val tree: FlatTree, perLeaf: Int, rate: Double, seed: Long,
+                      partition: Int)
     extends RowSink[LeafStats] {
-  val count   = new Array[Long](leaves)
-  val sum     = new Array[Double](leaves)
-  val min     = Array.fill(leaves)(Double.PositiveInfinity)
-  val max     = Array.fill(leaves)(Double.NegativeInfinity)
+  val count   = new Array[Long](tree.leafCount)
+  val sum     = new Array[Double](tree.leafCount)
+  val min     = Array.fill(tree.leafCount)(Double.PositiveInfinity)
+  val max     = Array.fill(tree.leafCount)(Double.NegativeInfinity)
   val samples =
-    if (perLeaf > 0 || rate > 0) Array.fill(leaves)(new PriorityReservoir(perLeaf, rate, d))
+    if (perLeaf > 0 || rate > 0) Array.fill(tree.leafCount)(new PriorityReservoir(perLeaf, rate, tree.dims))
     else Array.empty[PriorityReservoir]
   @transient private val priority = PriorityReservoir.priorities(seed, 2, partition)
 
   protected def add(x: Array[Double], v: Double): Unit = {
-    val id = PartitionTree.leafOf(root, x)
+    val id = tree.leafOf(x)
     count(id) += 1
     sum(id) += v
     if (v < min(id)) min(id) = v
@@ -196,7 +197,7 @@ final class LeafStats(@transient private val root: TreeNode, leaves: Int, d: Int
 
   def merge(o: LeafStats): Unit = {
     dropped += o.dropped
-    for (id <- 0 until leaves) {
+    for (id <- count.indices) {
       count(id) += o.count(id)
       sum(id) += o.sum(id)
       min(id) = math.min(min(id), o.min(id))

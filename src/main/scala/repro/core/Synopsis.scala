@@ -29,20 +29,22 @@ object LeafSample {
   * aggregates plus per-leaf stratified samples, answering SUM/COUNT/AVG/MIN/MAX
   * with predicates via MCF + partial aggregation + sample estimation (Sec 3.3).
   *
-  * @param root       partition tree with populated statistics
-  * @param leaves     leaf nodes indexed by leafId
+  * @param tree       partition tree with rolled-up statistics
   * @param samples    per-leaf stratified samples indexed by leafId
   * @param totalRows  N, the base-table cardinality
   * @param zeroVarRule whether AVG queries stop MCF early at min==max nodes
   */
 final class PassSynopsis(
-    val root: TreeNode,
-    val leaves: Array[TreeNode],
+    val tree: FlatTree,
     val samples: Array[LeafSample],
     val totalRows: Long,
     val zeroVarRule: Boolean = true,
 ) extends Serializable {
-  require(leaves.length == samples.length, "leaf/sample count mismatch")
+  require(tree.leafCount == samples.length, "leaf/sample count mismatch")
+
+  // the root and the leaves by leaf id, as node views
+  def root: TreeNode               = tree.root
+  def leaves: IndexedSeq[TreeNode] = tree.leaves
 
   /** Total sampled tuples stored (synopsis size accounting, BSS denominator). */
   def storedSamples: Long = samples.map(_.size.toLong).sum
@@ -51,7 +53,7 @@ final class PassSynopsis(
   def sampleBytes: Long = samples.map(_.storageBytes).sum
 
   /** Synopsis footprint in bytes: tree aggregates + sampled tuples. */
-  def storageBytes: Long = PartitionTree.storageBytes(root) + sampleBytes
+  def storageBytes: Long = tree.storageBytes + sampleBytes
 
   /** The moments of the union of the samples of leaves `lo` to `hi`. */
   private def pooledMoments(lo: Int, hi: Int, q: Rect, agg: Agg): Moments = {
@@ -66,12 +68,12 @@ final class PassSynopsis(
     * exact aggregate. One loop then visits the partial leaves, then the
     * 0-variance nodes: it folds their exact count, sum and extrema (the hard
     * bounds, Sec 2.3) and adds each one's sample to the estimator. After it,
-    * each aggregate is arithmetic. Node statistics come from the flat tree,
-    * so concurrent calls share nothing mutable. See `Estimate` for field
-    * semantics.
+    * each aggregate is arithmetic. The tree is never written after the
+    * build, so concurrent calls share nothing mutable. See `Estimate` for
+    * field semantics.
     */
   def answer(q: Rect, agg: Agg): Estimate = {
-    val t        = PartitionTree.flat(root)
+    val t        = tree
     val f        = t.mcf(q, zeroVarRule && agg == Agg.Avg, Frontier.ofThread)
     val coverCnt = f.coverCount
     val coverSum = f.coverSum

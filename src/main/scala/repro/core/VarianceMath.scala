@@ -122,29 +122,11 @@ final class SparseTableMax(xs: Array[Double]) {
   }
 }
 
-/** Max-variance-query oracles for a partition: the exact brute-force versions
-  * (used by the naive DP and as the test reference) and the O(1)/O(log m)
-  * discretized versions of Appendix A.3/A.4 used by the ADP.
+/** Max-variance-query oracles for a partition: the O(1)/O(log m)
+  * discretized versions of Appendix A.3/A.4 used by the ADP. The exact
+  * brute-force maximum they approximate is the tests' oracle.
   */
 object MaxVar {
-
-  /** Exact maximum variance over every query `[q1,q2) ⊆ [p1,p2)` with at least
-    * `minLen` samples. O((p2-p1)²) — test/reference use only.
-    */
-  def brute(s: SortedSample1D, agg: Agg, p1: Int, p2: Int, minLen: Int = 1): Double = {
-    val ni = p2 - p1
-    var best = 0.0
-    var q1   = p1
-    while (q1 < p2) {
-      var q2 = q1 + math.max(1, minLen)
-      while (q2 <= p2) {
-        best = math.max(best, s.variance(agg, q1, q2, ni))
-        q2 += 1
-      }
-      q1 += 1
-    }
-    best
-  }
 
   /** Discretized SUM/COUNT max variance (Appendix A.3): split the partition at
     * its median sample and return the larger half-variance. Lemma A.3: this is

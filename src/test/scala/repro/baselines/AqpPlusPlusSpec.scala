@@ -45,11 +45,21 @@ class AqpPlusPlusSpec extends SparkSpec {
     assert(AqpPlusPlus.hillClimbCuts(empty, 4).isEmpty)
   }
 
+  test("AQP++ and KD-US reject a uniform sample of more rows than an Int counts, before reading the table") {
+    // 2^31 to 2^32 - 1 wrap to a negative Int; a null table fails if it is read
+    for (tooMany <- Seq(1L << 31, (1L << 32) - 1)) {
+      intercept[IllegalArgumentException](
+        AqpPlusPlus.build(null, Seq("x"), "v", partitions = 4, totalSamples = tooMany))
+      intercept[IllegalArgumentException](
+        AqpPlusPlus.buildKdUs(null, Seq("x", "y"), "v", leaves = 4, totalSamples = tooMany))
+    }
+  }
+
   test("AQP++ exact for partition-aligned queries") {
     val (syn, _) = AqpPlusPlus.build(df, Seq("pickup_datetime"), "trip_distance",
       partitions = 16, totalSamples = 500, seed = 3)
     // a query equal to one partition's bounds must be answered from aggregates
-    val leaf = syn.root.leaves.find(_.count > 0).get
+    val leaf = syn.tree.leaves.find(_.count > 0).get
     val est  = syn.answer(leaf.bounds, Agg.Sum)
     assert(math.abs(est.value - leaf.sum) < 1e-6 * (1 + leaf.sum.abs))
     assert(est.ciHalf == 0.0)
@@ -89,7 +99,7 @@ class AqpPlusPlusSpec extends SparkSpec {
     val gt2  = GroundTruth.collect(df, cols, "trip_distance")
     val (syn, _) = AqpPlusPlus.buildKdUs(df, cols, "trip_distance",
       leaves = 32, totalSamples = 2000, seed = 13)
-    assert(syn.root.leaves.size > 1)
+    assert(syn.tree.leaves.size > 1)
     val rnd = new scala.util.Random(14)
     val errs = Seq.fill(25) {
       val lo0 = rnd.nextDouble() * 40000; val lo1 = rnd.nextDouble() * 10
@@ -108,7 +118,7 @@ class AqpPlusPlusSpec extends SparkSpec {
     // whole-data query: gap should be empty, answer exactly the root sum
     val full = Rect.range(Double.NegativeInfinity, Double.PositiveInfinity)
     val est  = syn.answer(full, Agg.Sum)
-    assert(math.abs(est.value - syn.root.sum) < 1e-6 * (1 + syn.root.sum.abs))
+    assert(math.abs(est.value - syn.tree.root.sum) < 1e-6 * (1 + syn.tree.root.sum.abs))
     assert(est.ciHalf == 0.0)
   }
 

@@ -21,7 +21,7 @@ class StratifiedKernelSpec extends AnyFunSuite {
     }
   }
 
-  private def coversNothing(root: TreeNode, q: Rect): Boolean = PartitionTree.mcf(root, q).cover.isEmpty
+  private def coversNothing(tree: FlatTree, q: Rect): Boolean = PartitionTree.mcf(tree.root, q).cover.isEmpty
 
   /** Equal, counting two NaNs as equal. */
   private def same(a: Double, b: Double): Boolean = a == b || (a.isNaN && b.isNaN)
@@ -50,7 +50,7 @@ class StratifiedKernelSpec extends AnyFunSuite {
     val pass = TestSynopses.build1D(cs, as, Array(20.0, 40.0, 60.0, 80.0), samplesPerLeaf = 30,
                                     seed = 2, zeroVarRule = false)
     val st = new StratifiedSampleSynopsis(pass)
-    val qs = queries(3, 60, 15).filter(coversNothing(pass.root, _))
+    val qs = queries(3, 60, 15).filter(coversNothing(pass.tree, _))
     assert(qs.size > 30)
     var compared = 0
     for (q <- qs; agg <- estimable) {
@@ -76,7 +76,7 @@ class StratifiedKernelSpec extends AnyFunSuite {
   }
 
   test("AQP++ with no covered node answers as US on the same sample") {
-    val tree = TestSynopses.build1D(cs, as, Array(20.0, 40.0, 60.0, 80.0), samplesPerLeaf = 1).root
+    val tree = TestSynopses.build1D(cs, as, Array(20.0, 40.0, 60.0, 80.0), samplesPerLeaf = 1).tree
     val rnd  = new scala.util.Random(6)
     val pick = rnd.shuffle(cs.indices.toVector).take(200).toArray
     val sample = LeafSample(pick.map(i => Array(cs(i))), pick.map(as))
@@ -92,9 +92,9 @@ class StratifiedKernelSpec extends AnyFunSuite {
   }
 
   test("AQP++ MIN/MAX with no covered row and no matching sampled row is NaN, as US") {
-    val root   = TestSynopses.build1D(cs, as, Array(20.0, 40.0, 60.0, 80.0), samplesPerLeaf = 1).root
+    val tree   = TestSynopses.build1D(cs, as, Array(20.0, 40.0, 60.0, 80.0), samplesPerLeaf = 1).tree
     val sample = LeafSample(Array(Array(10.0), Array(70.0)), Array(1.0, 2.0))
-    val aqp    = new PrecompUniformSynopsis(root, sample, n)
+    val aqp    = new PrecompUniformSynopsis(tree, sample, n)
     val us     = new UniformSampleSynopsis(sample, n)
     // inside leaf [20, 40) but away from both sampled rows, and outside the data
     for (q <- Seq(Rect.range(30, 31), Rect.range(200, 300)); agg <- Seq(Agg.Min, Agg.Max)) {
@@ -103,7 +103,7 @@ class StratifiedKernelSpec extends AnyFunSuite {
       assert(a.lb.isNaN && a.ub.isNaN && a.processedSamples == 2)
     }
     // a covered leaf still answers with its exact extreme
-    val leaf = root.leaves.toArray.apply(1) // [20, 40)
+    val leaf = tree.leaves(1) // [20, 40)
     assert(aqp.answer(leaf.bounds, Agg.Min).value == leaf.min)
     assert(aqp.answer(leaf.bounds, Agg.Max).value == leaf.max)
   }

@@ -97,7 +97,7 @@ class UniformStratifiedSpec extends SparkSpec {
     assert(us.k == 500 && us.totalRows == 500)
     assert(!us.sample.values.exists(_.isNaN) && !us.sample.coords.exists(_(0).isNaN))
     val (aqp, _) = AqpPlusPlus.build(rows, Seq("x"), "v", partitions = 4, totalSamples = 100)
-    assert(aqp.totalRows == 500 && aqp.root.count == 500 && aqp.sample.size == 100)
+    assert(aqp.totalRows == 500 && aqp.tree.root.count == 500 && aqp.sample.size == 100)
   }
 
   test("US rejects a sample size below 1") {

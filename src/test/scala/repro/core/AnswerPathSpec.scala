@@ -79,12 +79,11 @@ class AnswerPathSpec extends AnyFunSuite {
     val kd2     = passKd(2, greedy = true)
     val kd3     = passKd(3, greedy = false)
     val rows1D  = cs.map(Array(_))
-    val aqpRoot = PartitionTree.build1D(cuts, Rect.range(cs.min, Math.nextUp(cs.max)))
-    TestSynopses.populate(aqpRoot, rows1D, as)
-    val (ps2, vs2) = TestSynopses.genGrid(2000, 2, 16, 42L)
-    val kdusRoot   = KdTree.buildBalanced(ps2, vs2, k = 16, Rect(Array(0.0, 0.0), Array(16.0, 16.0)))
-    TestSynopses.populate(kdusRoot, ps2, vs2)
-    val box2 = Rect(Array(0.0, 0.0), Array(16.0, 16.0))
+    val (aqpTree, _) =
+      TestSynopses.populate(PartitionTree.build1D(cuts, Rect.range(cs.min, Math.nextUp(cs.max))), rows1D, as)
+    val (ps2, vs2)    = TestSynopses.genGrid(2000, 2, 16, 42L)
+    val box2          = Rect(Array(0.0, 0.0), Array(16.0, 16.0))
+    val (kdusTree, _) = TestSynopses.populate(KdTree.buildBalanced(ps2, vs2, k = 16, box2), ps2, vs2)
     Seq(
       ("PASS 1-D", p1.answer _, queries(box1D, 1)),
       ("PASS 1-D signed", signed.answer _, queries(box1D, 8)),
@@ -92,9 +91,9 @@ class AnswerPathSpec extends AnyFunSuite {
       ("PASS kd d=3", kd3.answer _, queries(Rect(Array.fill(3)(0.0), Array.fill(3)(16.0)), 3)),
       ("ST", new StratifiedSampleSynopsis(p1).answer _, queries(box1D, 4)),
       ("US", new UniformSampleSynopsis(uniform(rows1D, as, 150, 5), cs.length).answer _, queries(box1D, 5)),
-      ("AQP++", new PrecompUniformSynopsis(aqpRoot, uniform(rows1D, as, 150, 6), cs.length).answer _,
+      ("AQP++", new PrecompUniformSynopsis(aqpTree, uniform(rows1D, as, 150, 6), cs.length).answer _,
        queries(box1D, 6)),
-      ("KD-US", new PrecompUniformSynopsis(kdusRoot, uniform(ps2, vs2, 200, 7), ps2.length).answer _,
+      ("KD-US", new PrecompUniformSynopsis(kdusTree, uniform(ps2, vs2, 200, 7), ps2.length).answer _,
        queries(box2, 7)),
     )
   }
@@ -124,13 +123,11 @@ class AnswerPathSpec extends AnyFunSuite {
     for (syn <- Seq(pass1D, passKd(2, greedy = true))) {
       val qs     = queries(syn.root.bounds, 9)
       val serial = answers(syn.answer, qs)
-      val fresh  = new PassSynopsis(syn.root, syn.leaves, syn.samples, syn.totalRows, syn.zeroVarRule)
-      PartitionTree.rollUpTree(fresh.root) // no flat form yet: the threads race to build it
-      val pool = Executors.newFixedThreadPool(4)
+      val pool   = Executors.newFixedThreadPool(4)
       try {
         val tasks = (0 until 4).map { _ =>
           pool.submit(new Callable[Array[Estimate]] {
-            def call(): Array[Estimate] = (0 until 20).map(_ => answers(fresh.answer, qs)).last
+            def call(): Array[Estimate] = (0 until 20).map(_ => answers(syn.answer, qs)).last
           })
         }
         for ((task, t) <- tasks.zipWithIndex) assertSameBits(task.get(), serial, s"thread $t")
@@ -144,7 +141,7 @@ class AnswerPathSpec extends AnyFunSuite {
   test("a Java-serialized PASS synopsis answers bit for bit as the original") {
     for (syn <- Seq(pass1D, passKd(3, greedy = true))) {
       val qs     = queries(syn.root.bounds, 10)
-      val before = answers(syn.answer, qs) // the original's flat form is built by now
+      val before = answers(syn.answer, qs)
       val bytes  = new ByteArrayOutputStream()
       val out    = new ObjectOutputStream(bytes)
       out.writeObject(syn); out.close()

@@ -18,7 +18,7 @@ class Dp1DSpec extends AnyFunSuite {
   /** True max variance of a partitioning, by brute force per bucket. */
   private def trueValue(s: SortedSample1D, bounds: Array[Int], agg: Agg, minLen: Int): Double =
     (0 until bounds.length - 1).map { j =>
-      MaxVar.brute(s, agg, bounds(j), bounds(j + 1), minLen)
+      ExactDp.brute(s, agg, bounds(j), bounds(j + 1), minLen)
     }.max
 
   /** Minimum achievable max-variance over ALL contiguous partitionings, by
@@ -28,10 +28,10 @@ class Dp1DSpec extends AnyFunSuite {
     var best = Double.PositiveInfinity
     def rec(start: Int, left: Int, acc: Double): Unit = {
       if (acc >= best) return
-      if (left == 1) { best = math.min(best, math.max(acc, MaxVar.brute(s, agg, start, s.n, minLen))) }
+      if (left == 1) { best = math.min(best, math.max(acc, ExactDp.brute(s, agg, start, s.n, minLen))) }
       else {
         for (cut <- start + 1 to s.n - left + 1) {
-          rec(cut, left - 1, math.max(acc, MaxVar.brute(s, agg, start, cut, minLen)))
+          rec(cut, left - 1, math.max(acc, ExactDp.brute(s, agg, start, cut, minLen)))
         }
       }
     }
@@ -43,7 +43,7 @@ class Dp1DSpec extends AnyFunSuite {
     test(s"naive DP matches exhaustive optimum ($agg, seed=$seed)") {
       val s = randSample(16, seed)
       val k = 3
-      val r = Dp1D.naive(s, k, agg)
+      val r = ExactDp.naive(s, k, agg)
       assert(math.abs(r.value - exhaustiveOpt(s, k, agg, 1)) < 1e-9)
     }
   }
@@ -52,8 +52,8 @@ class Dp1DSpec extends AnyFunSuite {
     test(s"fast DP (binary search) achieves the naive DP value ($agg, seed=$seed)") {
       val s = randSample(28, seed + 40)
       val k = 4
-      val naive = Dp1D.naive(s, k, agg)
-      val fast  = Dp1D.fast(s, k, agg)
+      val naive = ExactDp.naive(s, k, agg)
+      val fast  = ExactDp.fast(s, k, agg)
       assert(math.abs(fast.value - naive.value) < 1e-9,
              s"fast=${fast.value} naive=${naive.value}")
     }
@@ -62,7 +62,7 @@ class Dp1DSpec extends AnyFunSuite {
   test("DP boundaries are monotone and span the sample") {
     val s = randSample(40, 9)
     for (k <- Seq(1, 2, 5, 8)) {
-      val r = Dp1D.fast(s, k, Agg.Sum)
+      val r = ExactDp.fast(s, k, Agg.Sum)
       assert(r.sampleBounds.head == 0 && r.sampleBounds.last == s.n)
       assert(r.sampleBounds.sliding(2).forall(p => p(0) <= p(1)))
       assert(r.cuts.length == r.k - 1)
@@ -100,7 +100,7 @@ class Dp1DSpec extends AnyFunSuite {
       def value(bounds: Array[Int]): Double =
         (0 until bounds.length - 1).map { j =>
           if (bounds(j + 1) - bounds(j) < 2 * deltaM) 0.0
-          else MaxVar.brute(s, Agg.Avg, bounds(j), bounds(j + 1), deltaM)
+          else ExactDp.brute(s, Agg.Avg, bounds(j), bounds(j + 1), deltaM)
         }.max
       val adp = Dp1D.adp(s, k, Agg.Avg, deltaM)
       // exhaustive optimum under the same convention

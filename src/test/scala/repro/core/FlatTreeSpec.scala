@@ -42,7 +42,7 @@ class FlatTreeSpec extends AnyFunSuite {
   }
 
   private def assertSameFrontier(f: Frontier, r: ReferenceMcf.Result, what: String): Unit = {
-    def same(a: Seq[TreeNode], b: Seq[TreeNode]) = a.length == b.length && a.zip(b).forall { case (x, y) => x eq y }
+    def same(a: Seq[TreeNode], b: Seq[TreeNode]) = a.length == b.length && a.zip(b).forall { case (x, y) => x == y }
     assert(same(f.cover, r.cover), s"$what: cover")
     assert(same(f.partial, r.partial), s"$what: partial")
     assert(same(f.zeroVar, r.zeroVar), s"$what: zeroVar")
@@ -59,7 +59,7 @@ class FlatTreeSpec extends AnyFunSuite {
     * frontier reused for every query.
     */
   private def checkTree(root: TreeNode, seed: Long): Unit = {
-    val t      = PartitionTree.flat(root)
+    val t      = root.tree
     val reused = new Frontier
     var zv     = 0
     for (q <- probes(root, new scala.util.Random(seed), 300); rule <- Seq(false, true)) {
@@ -89,26 +89,68 @@ class FlatTreeSpec extends AnyFunSuite {
     }
   }
 
+  /** Trees of unusual shape, each with its rows: a root that is a leaf;
+    * 1-D leaves of zero width (duplicate cuts, a cut at the box's lower edge)
+    * and empty ones; and a kd tree over degenerate data (one constant
+    * dimension, three distinct values in the other). The values are integers,
+    * so every sum is exact in any order.
+    */
+  private val edgeShapes = {
+    val rnd  = new scala.util.Random(5)
+    val xs   = Array.fill(200)(Array(rnd.nextInt(7).toDouble))
+    val vs   = Array.fill(200)(rnd.nextInt(50) - 20.0)
+    val pts2 = Array.fill(300)(Array(rnd.nextInt(3).toDouble, 1.0))
+    val vs2  = pts2.map(p => p(0) * 10 + rnd.nextInt(5))
+    Seq(
+      ("1-D, no cuts", PartitionTree.build1D(Array.empty, Rect.range(0, 10)), xs, vs),
+      ("1-D, duplicate cuts and a cut at the lower edge",
+       PartitionTree.build1D(Array(0.0, 0.0, 3.0, 3.0, 3.0, 7.0), Rect.range(0, 10)), xs, vs),
+      ("kd, degenerate data", KdTree.buildGreedy(pts2, vs2, k = 16, Agg.Sum, Rect(Array(0.0, 0.0), Array(4.0, 4.0))),
+       pts2, vs2),
+    )
+  }
+
+  for ((shape, skeleton, pts, vals) <- edgeShapes) {
+    test(s"an edge-shaped tree rolls up, spans, routes and answers MCF as the reference ($shape)") {
+      val (tree, _) = TestSynopses.populate(skeleton, pts, vals)
+      val leaves    = tree.leaves
+      if (shape == "1-D, no cuts") assert(tree.size == 1 && tree.root.isLeaf)
+      else {
+        def zeroWidth(r: Rect) = r.lo.indices.exists(j => r.lo(j) == r.hi(j))
+        assert(leaves.exists(_.count == 0) && leaves.exists(l => zeroWidth(l.bounds)), "no empty, zero-width leaf")
+      }
+      // every node's statistics: an in-order fold over its leaves
+      for (n <- tree.root.preorder) {
+        val ls = n.leaves.toSeq
+        assert(n.count == ls.map(_.count).sum, s"${n.bounds}: count")
+        assert(bits(n.sum) == bits(ls.foldLeft(0.0)(_ + _.sum)), s"${n.bounds}: sum")
+        assert(bits(n.min) == bits(ls.foldLeft(Inf)((m, l) => math.min(m, l.min))), s"${n.bounds}: min")
+        assert(bits(n.max) == bits(ls.foldLeft(-Inf)((m, l) => math.max(m, l.max))), s"${n.bounds}: max")
+        assert(ls.map(_.leafId) == (n.leafLo to n.leafHi), s"${n.bounds}: leaf span")
+      }
+      // a leaf's lower corner routes to it, unless the leaf has zero width,
+      // when it routes to the leaf that holds the corner
+      for (l <- leaves) {
+        val corner = l.bounds.lo
+        if (l.bounds.contains(corner)) assert(tree.leafOf(corner) == l.leafId, s"corner of ${l.bounds}")
+        else if (tree.root.bounds.contains(corner))
+          assert(leaves(tree.leafOf(corner)).bounds.contains(corner), s"corner of zero-width ${l.bounds}")
+      }
+      val reused = new Frontier
+      for (q <- probes(tree.root, new scala.util.Random(7), 100); rule <- Seq(false, true))
+        assertSameFrontier(tree.mcf(q, rule, reused), ReferenceMcf.mcf(tree.root, q, rule), s"q=$q rule=$rule")
+    }
+  }
+
   test("the flat form is built once per tree, and adapter frontiers are independent") {
     val (cs, as) = TestSynopses.genData(300, 3)
     val syn      = TestSynopses.build1D(cs, as, Array(20.0, 40.0, 60.0, 80.0), samplesPerLeaf = 10)
     val (q1, q2) = (Rect.range(10, 50), Rect.range(55, 95))
     val f1       = PartitionTree.mcf(syn.root, q1)
     val f2       = PartitionTree.mcf(syn.root, q2)
-    assert(PartitionTree.flat(syn.root) eq PartitionTree.flat(syn.root))
+    assert(syn.root.tree eq syn.tree)
     assert(f1 ne f2)
     assertSameFrontier(f1, ReferenceMcf.mcf(syn.root, q1, zeroVarRule = false), "first of two")
     assertSameFrontier(f2, ReferenceMcf.mcf(syn.root, q2, zeroVarRule = false), "second of two")
-  }
-
-  test("rolling up new statistics drops the old flat form") {
-    val (cs, as) = TestSynopses.genData(300, 4)
-    val syn      = TestSynopses.build1D(cs, as, Array(25.0, 50.0, 75.0), samplesPerLeaf = 10)
-    val before   = PartitionTree.flat(syn.root)
-    syn.leaves(0).sum += 100.0
-    PartitionTree.rollUpTree(syn.root)
-    val after = PartitionTree.flat(syn.root)
-    assert(after ne before)
-    assert(after.sum(0) == syn.root.sum && after.sum(0) != before.sum(0))
   }
 }

@@ -32,12 +32,12 @@ class KdTreeSpec extends AnyFunSuite {
       assert(leaves.length <= 16 && leaves.length > 1)
       // every training point routes to a leaf whose rect contains it
       for (p <- pts.take(200)) {
-        val id = PartitionTree.leafOf(root, p)
+        val id = root.leafOf(p)
         assert(leaves(id).bounds.contains(p), s"point ${p.toSeq} not in leaf $id")
       }
       // tree invariants
       assert(leaves.map(_.leafId).toSeq == leaves.indices)
-      for (n <- root.preorder if !n.isLeaf) {
+      for (n <- root.root.preorder if !n.isLeaf) {
         val cs = n.children
         assert(cs.length == (1 << d), "fanout must be 2^d")
         for (c <- cs) assert(n.bounds.containsRect(c.bounds))
@@ -52,7 +52,7 @@ class KdTreeSpec extends AnyFunSuite {
       val (pts, vals) = randPoints(800, 2, seed + 10)
       val root        = KdTree.buildGreedy(pts, vals, k = 32, agg, rootRect(2))
       assert(root.leaves.size <= 32)
-      val depths = leafDepths(root)
+      val depths = leafDepths(root.root)
       assert(depths.max - depths.min <= 2, s"depth skew ${depths.max - depths.min} > 2")
     }
   }
@@ -60,8 +60,7 @@ class KdTreeSpec extends AnyFunSuite {
   test("leaf ids are contiguous DFS ranges within subtrees") {
     val (pts, vals) = randPoints(500, 2, 3)
     val root        = KdTree.buildGreedy(pts, vals, k = 16, Agg.Sum, rootRect(2))
-    PartitionTree.rollUpTree(root)
-    for (n <- root.preorder) {
+    for (n <- root.root.preorder) {
       val ids = n.leaves.map(_.leafId).toSeq
       assert(ids == (n.leafLo to n.leafHi))
     }
@@ -89,7 +88,7 @@ class KdTreeSpec extends AnyFunSuite {
   test("assign routes out-of-range points to a boundary leaf without crashing") {
     val (pts, vals) = randPoints(300, 2, 5)
     val root        = KdTree.buildBalanced(pts, vals, k = 8, rootRect(2))
-    val id          = PartitionTree.leafOf(root, Array(-100.0, 100.0))
+    val id          = root.leafOf(Array(-100.0, 100.0))
     assert(id >= 0 && id < root.leaves.size)
   }
 }

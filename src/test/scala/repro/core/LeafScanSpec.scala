@@ -117,9 +117,9 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
     val q        = Rect(Array(-1.0, 0.0), Array(7.0, 6.0))
     val s        = LeafSample(cs, vs)
     // the holes are the nodes of a kd tree that a second query covers
-    val root     = KdTree.buildBalanced(cs, vs, k = 16, Rect(Array(-3.0, -3.0), Array(9.0, 9.0)))
-    TestSynopses.populate(root, cs, vs)
-    val holes    = PartitionTree.mcf(root, Rect(Array(-3.0, 1.0), Array(6.0, 9.0)))
+    val skeleton = KdTree.buildBalanced(cs, vs, k = 16, Rect(Array(-3.0, -3.0), Array(9.0, 9.0)))
+    val (tree, _) = TestSynopses.populate(skeleton, cs, vs)
+    val holes    = PartitionTree.mcf(tree.root, Rect(Array(-3.0, 1.0), Array(6.0, 9.0)))
     val m        = Moments.scan(s, q, Agg.Sum, exclude = holes)
     val kept     = (0 until s.size).filter(i => q.contains(s.coords(i)) && !holes.cover.exists(_.bounds.contains(s.coords(i))))
     assert(holes.cover.nonEmpty && kept.size < (0 until s.size).count(i => q.contains(s.coords(i))))
@@ -157,12 +157,11 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
         val ex =
           if (!excluded || s.size == 0) null
           else {
-            val root = KdTree.buildBalanced(cs, vs, k = 16, box)
-            TestSynopses.populate(root, cs, vs)
+            val (tree, _) = TestSynopses.populate(KdTree.buildBalanced(cs, vs, k = 16, box), cs, vs)
             // a half-space below a random dim-0 cut covers whole nodes in any d
             val inf = Double.PositiveInfinity
             val cut = Array.tabulate(d)(j => if (j == 0) rnd.nextInt(12) - 3.0 else inf)
-            PartitionTree.mcf(root, Rect(Array.fill(d)(-inf), cut))
+            PartitionTree.mcf(tree.root, Rect(Array.fill(d)(-inf), cut))
           }
         for (_ <- 0 until 20) {
           val q                  = probe(rnd, s, d)

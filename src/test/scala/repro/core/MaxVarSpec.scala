@@ -19,13 +19,13 @@ class MaxVarSpec extends AnyFunSuite {
   test("brute max variance on a tiny hand example") {
     val s = SortedSample1D.presorted(Array(0.0, 1.0, 2.0), Array(0.0, 0.0, 9.0))
     // best SUM query is {9}: V = 81 − 81/3 = 54
-    assert(math.abs(MaxVar.brute(s, Agg.Sum, 0, 3) - 54.0) < 1e-9)
+    assert(math.abs(ExactDp.brute(s, Agg.Sum, 0, 3) - 54.0) < 1e-9)
   }
 
   test("countExact equals brute-force COUNT maximum") {
     for (n <- Seq(2, 3, 5, 8, 13, 40)) {
       val s = SortedSample1D.presorted(Array.tabulate(n)(_.toDouble), Array.fill(n)(1.0))
-      assert(math.abs(MaxVar.countExact(n) - MaxVar.brute(s, Agg.Count, 0, n)) < 1e-9,
+      assert(math.abs(MaxVar.countExact(n) - ExactDp.brute(s, Agg.Count, 0, n)) < 1e-9,
              s"n=$n")
     }
     assert(MaxVar.countExact(0) == 0.0)
@@ -39,7 +39,7 @@ class MaxVarSpec extends AnyFunSuite {
       for (_ <- 0 until 10) {
         val p1 = rnd.nextInt(40)
         val p2 = p1 + 4 + rnd.nextInt(20)
-        val brute = MaxVar.brute(s, Agg.Sum, p1, p2)
+        val brute = ExactDp.brute(s, Agg.Sum, p1, p2)
         val disc  = MaxVar.discSum(s, p1, p2)
         assert(disc <= brute + 1e-9, s"disc must be a realizable query variance [$p1,$p2)")
         assert(disc >= brute / 4 - 1e-9, s"Lemma A.3 bound violated at [$p1,$p2)")
@@ -56,7 +56,7 @@ class MaxVarSpec extends AnyFunSuite {
       for (_ <- 0 until 8) {
         val p1 = rnd.nextInt(40)
         val p2 = p1 + 2 * deltaM + rnd.nextInt(30)
-        val brute = MaxVar.brute(s, Agg.Avg, p1, p2, minLen = deltaM)
+        val brute = ExactDp.brute(s, Agg.Avg, p1, p2, minLen = deltaM)
         val disc  = idx.maxAvgVar(p1, p2)
         assert(disc <= brute + 1e-9, s"[$p1,$p2): disc=$disc brute=$brute")
         assert(disc >= brute / 4 - 1e-9, s"Lemma A.5 bound violated at [$p1,$p2)")

@@ -17,7 +17,7 @@ class PartitionTreeSpec extends AnyFunSuite {
   for (seed <- 0 until 6) {
     test(s"build1D satisfies the Definition 3.1 invariants (seed=$seed)") {
       val syn = synopsisFor(seed)
-      assert(PartitionTree.invariantViolations(syn.root).isEmpty)
+      assert(TreeInvariants.violations(syn.root).isEmpty)
     }
 
     test(s"root statistics equal whole-dataset statistics (seed=$seed)") {
@@ -94,8 +94,8 @@ class PartitionTreeSpec extends AnyFunSuite {
 
   test("invariantViolations flags corrupted statistics") {
     val syn = synopsisFor(5)
-    syn.leaves(0).count += 1
-    assert(PartitionTree.invariantViolations(syn.root).nonEmpty)
+    syn.tree.count(syn.leaves(0).ix) += 1
+    assert(TreeInvariants.violations(syn.root).nonEmpty)
   }
 
   for (seed <- 0 until 6) {
@@ -108,7 +108,7 @@ class PartitionTreeSpec extends AnyFunSuite {
       val probes = cuts ++ cuts.map(Math.nextDown) ++ Array(lo, Math.nextDown(hi), lo - 5, hi + 5, Double.NaN) ++
         Array.fill(200)(lo + rnd.nextDouble() * (hi - lo))
       for (x <- probes)
-        assert(PartitionTree.leafOf(root, Array(x)) == cuts.count(_ <= x), s"x=$x cuts=${cuts.toSeq}")
+        assert(root.leafOf(Array(x)) == cuts.count(_ <= x), s"x=$x cuts=${cuts.toSeq}")
     }
   }
 
@@ -127,17 +127,9 @@ class PartitionTreeSpec extends AnyFunSuite {
       val probes = Array.fill(300)(Array.fill(d)(rnd.nextDouble() * 20)) ++ pts ++
         leaves.map(_.bounds.lo).filter(box.contains)
       for (x <- probes) {
-        val id = PartitionTree.leafOf(root, x)
+        val id = root.leafOf(x)
         assert(leaves(id).bounds.contains(x), s"point ${x.toSeq} routed to ${leaves(id).bounds}")
       }
     }
-  }
-
-  test("rollUpStats recomputes after leaf mutation") {
-    val syn    = synopsisFor(6)
-    val before = syn.root.sum
-    syn.leaves(0).sum += 100.0
-    PartitionTree.rollUpTree(syn.root)
-    assert(math.abs(syn.root.sum - (before + 100.0)) < 1e-6)
   }
 }

@@ -34,7 +34,7 @@ class PassBuilderSpec extends SparkSpec {
   test("tree statistics aggregate exactly to the whole table") {
     val r = buildAdp()
     val syn = r.synopsis
-    assert(PartitionTree.invariantViolations(syn.root).isEmpty)
+    assert(TreeInvariants.violations(syn.root).isEmpty)
     assert(syn.root.count == gt.n)
     val total = gt.values.sum
     assert(math.abs(syn.root.sum - total) < 1e-6 * (1 + total.abs))
@@ -157,7 +157,7 @@ class PassBuilderSpec extends SparkSpec {
       val r = PassBuilder.build(nyc, cols, "trip_distance",
         PassBuilder.KdGreedy(32, Agg.Sum), PassBuilder.Rate(0.08), optSampleSize = 2000, seed = 11)
       val syn = r.synopsis
-      assert(PartitionTree.invariantViolations(syn.root).isEmpty)
+      assert(TreeInvariants.violations(syn.root).isEmpty)
       assert(syn.root.count == gt2.n)
       val rnd = new scala.util.Random(12)
       val errs = Seq.fill(30) {

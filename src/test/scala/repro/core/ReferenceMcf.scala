@@ -4,7 +4,7 @@ import scala.collection.mutable.ArrayBuffer
 
 /** The recursive MCF that the flat preorder traversal (`FlatTree.mcf`)
   * replaced, kept as the tests' reference: Algorithm 1 with the Sec 3.4
-  * additions, a depth-first recursion over the skeleton `TreeNode`s.
+  * additions, a depth-first recursion over the `TreeNode` views.
   */
 object ReferenceMcf {
 

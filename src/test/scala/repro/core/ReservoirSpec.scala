@@ -56,7 +56,7 @@ class ReservoirSpec extends AnyFunSuite with PropSupport {
     val trials = 12000
     val hits   = new Array[Int](xs.length)
     for (t <- 0 until trials) {
-      val parts = Array.tabulate(3)(p => new LeafStats(root, 2, 1, k, 0.0, seed = t, partition = p))
+      val parts = Array.tabulate(3)(p => new LeafStats(root, k, 0.0, seed = t, partition = p))
       for ((x, i) <- xs.zipWithIndex) parts(i % 3).offer(Array(x), i.toDouble)
       val all = parts.head
       parts.tail.foreach(all.merge)
@@ -81,7 +81,7 @@ class ReservoirSpec extends AnyFunSuite with PropSupport {
     assert(t.lo.toSeq == Seq(1.0) && t.hi.toSeq == Seq(4.0))
     assert(keptValues(t.opt) == Set(0.0, 2.0, 3.0) && keptValues(t.uniform) == Set(0.0, 2.0, 3.0))
 
-    val l = new LeafStats(PartitionTree.build1D(Array(3.0), Rect.range(1.0, 5.0)), 2, 1, 10, 0.0, 1, 0)
+    val l = new LeafStats(PartitionTree.build1D(Array(3.0), Rect.range(1.0, 5.0)), 10, 0.0, 1, 0)
     offerAll(l, xs)
     assert(l.dropped == 2)
     assert(l.count.toSeq == Seq(2L, 1L) && l.sum.toSeq == Seq(3.0, 2.0))
@@ -97,7 +97,7 @@ class ReservoirSpec extends AnyFunSuite with PropSupport {
   }
 
   test("a sink with no sample allocation keeps none") {
-    val l = new LeafStats(PartitionTree.build1D(Array.empty, Rect.range(0.0, 10.0)), 1, 1, 0, 0.0, 1, 0)
+    val l = new LeafStats(PartitionTree.build1D(Array.empty, Rect.range(0.0, 10.0)), 0, 0.0, 1, 0)
     offerAll(l, Seq(1.0, 2.0, 3.0))
     assert(l.count(0) == 3 && l.sample(0).size == 0)
   }

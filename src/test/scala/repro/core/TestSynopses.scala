@@ -29,39 +29,34 @@ object TestSynopses {
     */
   def build1D(cs: Array[Double], as: Array[Double], cuts: Array[Double],
               samplesPerLeaf: Int, seed: Long = 1, zeroVarRule: Boolean = true): PassSynopsis = {
-    val root   = PartitionTree.build1D(cuts, Rect.range(cs.min, Math.nextUp(cs.max)))
-    val leaves = root.leaves.toArray
-    for (n <- leaves) {
-      val (s, c, mn, mx) = exactStats(cs, as, n.bounds)
-      n.count = c; n.sum = s; n.min = mn; n.max = mx
-    }
-    PartitionTree.rollUpTree(root)
-    val rnd = new scala.util.Random(seed)
+    val skeleton = PartitionTree.build1D(cuts, Rect.range(cs.min, Math.nextUp(cs.max)))
+    val leaves   = skeleton.leaves
+    val stats    = leaves.map(l => exactStats(cs, as, l.bounds)).toArray
+    val tree     = skeleton.withLeafStats(stats.map(_._2), stats.map(_._1), stats.map(_._3), stats.map(_._4))
+    val rnd      = new scala.util.Random(seed)
     val samples = leaves.map { l =>
       val idx = cs.indices.filter(i => l.bounds.contains(Array(cs(i)))).toArray
       val chosen =
         if (samplesPerLeaf <= 0 || samplesPerLeaf >= idx.length) idx
         else rnd.shuffle(idx.toSeq).take(samplesPerLeaf).toArray
       LeafSample(chosen.map(i => Array(cs(i))), chosen.map(as))
-    }
-    new PassSynopsis(root, leaves, samples, cs.length.toLong, zeroVarRule)
+    }.toArray
+    new PassSynopsis(tree, samples, cs.length.toLong, zeroVarRule)
   }
 
-  /** Sets every leaf's exact statistics from the rows routed to it, then
-    * rolls them up; returns the leaves' row indices, by leaf id.
+  /** `skeleton` with every leaf's exact statistics from the rows routed to
+    * it, rolled up, and the leaves' row indices, by leaf id.
     */
-  def populate(root: TreeNode, pts: Array[Array[Double]], vals: Array[Double]): Array[Array[Int]] = {
-    val leaves = root.leaves.toArray
-    val rows   = pts.indices.groupBy(i => PartitionTree.leafOf(root, pts(i)))
-    for (l <- leaves) {
-      val ids = rows.getOrElse(l.leafId, IndexedSeq.empty)
-      l.count = ids.length
-      l.sum = ids.foldLeft(0.0)((s, i) => s + vals(i))
-      l.min = ids.foldLeft(Double.PositiveInfinity)((m, i) => math.min(m, vals(i)))
-      l.max = ids.foldLeft(Double.NegativeInfinity)((m, i) => math.max(m, vals(i)))
-    }
-    PartitionTree.rollUpTree(root)
-    leaves.map(l => rows.getOrElse(l.leafId, IndexedSeq.empty).toArray)
+  def populate(skeleton: FlatTree, pts: Array[Array[Double]],
+               vals: Array[Double]): (FlatTree, Array[Array[Int]]) = {
+    val byLeaf = pts.indices.groupBy(i => skeleton.leafOf(pts(i)))
+    val rows   = Array.tabulate(skeleton.leafCount)(id => byLeaf.getOrElse(id, IndexedSeq.empty).toArray)
+    val tree = skeleton.withLeafStats(
+      rows.map(_.length.toLong),
+      rows.map(_.foldLeft(0.0)((s, i) => s + vals(i))),
+      rows.map(_.foldLeft(Double.PositiveInfinity)((m, i) => math.min(m, vals(i)))),
+      rows.map(_.foldLeft(Double.NegativeInfinity)((m, i) => math.max(m, vals(i)))))
+    (tree, rows)
   }
 
   /** A d-dimensional PASS synopsis over in-memory rows: a kd tree of at most
@@ -70,16 +65,16 @@ object TestSynopses {
     */
   def buildKd(pts: Array[Array[Double]], vals: Array[Double], box: Rect, k: Int, greedy: Boolean,
               samplesPerLeaf: Int, seed: Long = 1, zeroVarRule: Boolean = true): PassSynopsis = {
-    val root =
+    val skeleton =
       if (greedy) KdTree.buildGreedy(pts, vals, k, Agg.Sum, box)
       else KdTree.buildBalanced(pts, vals, k, box)
-    val rows = populate(root, pts, vals)
-    val rnd  = new scala.util.Random(seed)
+    val (tree, rows) = populate(skeleton, pts, vals)
+    val rnd          = new scala.util.Random(seed)
     val samples = rows.map { idx =>
       val chosen = rnd.shuffle(idx.toSeq).take(samplesPerLeaf).toArray
       LeafSample(chosen.map(pts), chosen.map(vals))
     }
-    new PassSynopsis(root, root.leaves.toArray, samples, pts.length.toLong, zeroVarRule)
+    new PassSynopsis(tree, samples, pts.length.toLong, zeroVarRule)
   }
 
   /** Deterministic d-dimensional rows on an integer grid of side `side` (so
@@ -88,7 +83,7 @@ object TestSynopses {
     * nodes occur.
     */
   def genGrid(n: Int, d: Int, side: Int, seed: Long): (Array[Array[Double]], Array[Double]) = {
-    val rnd  = new scala.util.Random(seed)
+    val rnd      = new scala.util.Random(seed)
     val pts  = Array.fill(n)(Array.fill(d)(rnd.nextInt(side).toDouble))
     val vals = pts.map(p => if (p(0) < side / 4) 7.0 else p.sum + 10 * rnd.nextDouble())
     (pts, vals)
