@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.stream.IntStream
+
 /** 1-D partitioning optimizers (Sec 4.3 / Appendix A.5).
   *
   * All variants minimize, over partitionings into `k` contiguous buckets of the
@@ -35,20 +37,25 @@ object Dp1D {
     * range `[p1,p2)`). With `binarySearch = true` the inner split search uses
     * the monotonicity argument of Sec 4.3 (A[·, j−1] nondecreasing, M(·, i)
     * nonincreasing) to cut a factor of m to log m.
+    *
+    * For each bucket count j, the entries i = j..m of the DP row read only
+    * row j−1 and write only their own slot, so they run in parallel on the
+    * JVM's common fork-join pool; `maxVar` must be safe to call from several
+    * threads. Each entry is computed exactly as by a sequential loop, so the
+    * result does not depend on the schedule.
     */
   def dp(s: SortedSample1D, k0: Int, maxVar: (Int, Int) => Double,
          binarySearch: Boolean): Partitioning1D = {
     val m = s.n
     val k = math.min(k0, math.max(1, m))
-    // prev(i) = optimal value over first i samples with j-1 buckets
-    var prev   = Array.tabulate(m + 1)(i => maxVar(0, i))
+    // row(i) = optimal value over the first i samples with j buckets, from j = 1
+    var row    = Array.tabulate(m + 1)(i => maxVar(0, i))
     val choice = Array.ofDim[Int](k + 1, m + 1)
-    var j = 2
-    while (j <= k) {
-      val cur = new Array[Double](m + 1)
+    for (j <- 2 to k) {
+      val prev = row
+      val cur  = new Array[Double](m + 1)
       java.util.Arrays.fill(cur, Double.PositiveInfinity)
-      var i = j
-      while (i <= m) {
+      IntStream.rangeClosed(j, m).parallel().forEach { i =>
         var bestV = Double.PositiveInfinity
         var bestH = j - 1
         def consider(h: Int): Unit = {
@@ -72,10 +79,8 @@ object Dp1D {
         }
         cur(i) = bestV
         choice(j)(i) = bestH
-        i += 1
       }
-      prev = cur
-      j += 1
+      row = cur
     }
     // reconstruct bucket boundaries in sample space
     val bounds = new Array[Int](k + 1)
@@ -83,7 +88,7 @@ object Dp1D {
     var jj = k
     while (jj >= 2) { bounds(jj - 1) = choice(jj)(bounds(jj)); jj -= 1 }
     bounds(0) = 0
-    toPartitioning(s, bounds, prev(m))
+    toPartitioning(s, bounds, row(m))
   }
 
   /** The sampling + discretization ADP used in the paper's experiments:

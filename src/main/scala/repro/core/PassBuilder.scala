@@ -2,8 +2,8 @@ package repro.core
 
 import scala.reflect.ClassTag
 
-import org.apache.spark.TaskContext
-import org.apache.spark.sql.{DataFrame, Encoders, Row}
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.DoubleType
 
@@ -20,9 +20,11 @@ import org.apache.spark.sql.types.DoubleType
   *     the Spark driver merges the tasks' results and rolls the leaf
   *     aggregates up the tree (`FlatTree.withLeafStats`).
   *
-  * Both scans are Dataset actions (`mapPartitions` + `collect`) with no
-  * shuffle. Rows with a null or NaN predicate coordinate or a null aggregate
-  * value are left out of both and counted.
+  * Each scan is one SQL execution that reads the projection's Catalyst
+  * `InternalRow`s (`queryExecution.toRdd`) with no `Row` decoding and no
+  * shuffle ([[PassBuilder.InternalRowScan]]). Rows with a null or NaN
+  * predicate coordinate or a null aggregate value are left out of both and
+  * counted.
   */
 object PassBuilder {
 
@@ -43,7 +45,9 @@ object PassBuilder {
   sealed trait Allocation extends Product with Serializable
   /** ESS-style: exactly min(n, N_i) per leaf (the per-query processed-tuple control). */
   final case class PerLeaf(n: Int) extends Allocation
-  /** BSS-style: a total budget split equally, min(max(1, total / leaves), N_i) per leaf. */
+  /** BSS-style: a total budget split equally, min(max(1, total / leaves), N_i) per leaf
+    * (a leaf's share is capped at `Int.MaxValue` rows, more than any leaf holds).
+    */
   final case class TotalBudget(total: Long) extends Allocation
   /** Proportional: each row with probability `rate`, topped up to min(2, N_i) per leaf. */
   final case class Rate(rate: Double) extends Allocation
@@ -80,10 +84,12 @@ object PassBuilder {
     * over the rows it keeps, computes N, the per-dimension data bounding box
     * (hi edges nudged up so the box is half-open-inclusive), a uniform
     * optimization sample of min(`optSampleSize`, N) rows and a uniform sample
-    * of min(`uniformSize`, N) rows with independent priorities.
+    * of min(`uniformSize`, N) rows with independent priorities. `scan` reads
+    * the rows; the tests pass a `Row`-decoding scan as an oracle.
     */
   private[repro] def prepare(df: DataFrame, predCols: Seq[String], aggCol: String, seed: Long = 42,
-                             optSampleSize: Int = DefaultOptSampleSize, uniformSize: Int = 0): Prepared = {
+                             optSampleSize: Int = DefaultOptSampleSize, uniformSize: Int = 0,
+                             scan: Scan = InternalRowScan): Prepared = {
     val cols      = (predCols :+ aggCol).map(c => col(c).cast(DoubleType).as(c))
     val projected = df.select(cols: _*)
     val d         = predCols.length
@@ -101,27 +107,49 @@ object PassBuilder {
       Row.fromSeq(p.optCoords(i).toSeq :+ p.optValues(i))
     }
 
-  /** One Spark scan of `projected`, a Dataset action so the SQL listener sees
-    * it. Each task feeds its rows to a fresh `sink(partition id)`; a row with
-    * a null field is dropped. The tasks' sinks are merged in partition order,
-    * so the same input and seed give the same result.
+  /** A build scan: it feeds the rows of `projected` (d coordinates, then the
+    * value, all doubles) to one fresh `sink(partition id)` per Spark task,
+    * dropping a row with a null field, and merges the tasks' sinks on the
+    * driver in partition order, so the same input and seed give the same
+    * result.
     */
-  private def scan[S <: RowSink[S]: ClassTag](projected: DataFrame, d: Int)(sink: Int => S): S = {
-    val parts = projected.mapPartitions { rows =>
-      val s = sink(TaskContext.getPartitionId())
-      val x = new Array[Double](d)
-      rows.foreach { r =>
-        var j = 0
-        while (j <= d && !r.isNullAt(j)) j += 1
-        if (j <= d) s.drop()
-        else {
-          j = 0
-          while (j < d) { x(j) = r.getDouble(j); j += 1 }
-          s.offer(x, r.getDouble(d))
-        }
+  private[repro] trait Scan {
+    def apply[S <: RowSink[S]: ClassTag](projected: DataFrame, d: Int)(sink: Int => S): S
+  }
+
+  /** The build's scan. It runs the projection's physical plan as an RDD of
+    * Catalyst `InternalRow`s and reads each field in place, inside one SQL
+    * execution started from the caller's frame, so the SQL listener sees the
+    * scan, its call site and the rows its plan reads. The sinks come back
+    * through the RDD's `collect`.
+    */
+  private[repro] object InternalRowScan extends Scan {
+    def apply[S <: RowSink[S]: ClassTag](projected: DataFrame, d: Int)(sink: Int => S): S = {
+      val qe = projected.queryExecution
+      val parts = SQLExecution.withNewExecutionId(qe) {
+        qe.toRdd.mapPartitionsWithIndex { (part, rows) =>
+          val s = sink(part)
+          val x = new Array[Double](d)
+          while (rows.hasNext) {
+            val r = rows.next()
+            var j = 0
+            while (j <= d && !r.isNullAt(j)) j += 1
+            if (j <= d) s.drop()
+            else {
+              j = 0
+              while (j < d) { x(j) = r.getDouble(j); j += 1 }
+              s.offer(x, r.getDouble(d))
+            }
+          }
+          Iterator.single(s)
+        }.collect()
       }
-      Iterator.single(s)
-    }(Encoders.javaSerialization[S]).collect()
+      mergeInOrder(parts, sink)
+    }
+  }
+
+  /** The tasks' sinks merged in partition order (`sink(0)` if there are none). */
+  private[repro] def mergeInOrder[S <: RowSink[S]](parts: Array[S], sink: Int => S): S = {
     val all = parts.headOption.getOrElse(sink(0))
     parts.iterator.drop(1).foreach(all.merge)
     all
@@ -144,10 +172,11 @@ object PassBuilder {
 
   /** [[build]] after its first scan: the partitioning optimization over the
     * optimization sample, then the second scan. Callers that need a uniform
-    * sample too (AQP++, KD-US) draw it in the same `prepare`.
+    * sample too (AQP++, KD-US) draw it in the same `prepare`. `scan` reads
+    * the rows, as in `prepare`.
     */
   private[repro] def buildPrepared(p: Prepared, partitioner: Partitioner, alloc: Allocation,
-                                   seed: Long): PassSynopsis = {
+                                   seed: Long, scan: Scan = InternalRowScan): PassSynopsis = {
     require(p.totalRows > 0, "cannot build a synopsis over an empty table")
     val d = p.dataRect.dims
 
@@ -168,7 +197,7 @@ object PassBuilder {
     // ---- the second scan: exact leaf aggregates + per-leaf samples ----------
     val (perLeaf, rate) = alloc match {
       case PerLeaf(n)     => (n, 0.0)
-      case TotalBudget(t) => (math.max(1L, t / leaves).toInt, 0.0)
+      case TotalBudget(t) => (math.max(1L, math.min(t / leaves, Int.MaxValue)).toInt, 0.0)
       case Rate(r)        => (2, r)
     }
     val s    = scan(p.projected, d)(part => new LeafStats(skeleton, perLeaf, rate, seed, part))

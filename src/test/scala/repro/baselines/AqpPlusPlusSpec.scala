@@ -1,15 +1,9 @@
 package repro.baselines
 
-import org.apache.spark.SparkTestAccess
-import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerTaskEnd}
-import org.apache.spark.sql.execution.SparkPlanInfo
-import org.apache.spark.sql.execution.ui.{SparkListenerSQLAdaptiveExecutionUpdate, SparkListenerSQLExecutionStart}
-import repro.SparkSpec
+import repro.{SparkSpec, SparkWork}
 import repro.core._
 import repro.bench.GroundTruth
 import repro.data.Datasets
-
-import scala.collection.mutable
 
 /** AQP++ (hill-climbed partition aggregates + uniform gap sampling) and the
   * KD-US multi-dimensional variant.
@@ -122,41 +116,10 @@ class AqpPlusPlusSpec extends SparkSpec {
     assert(est.ciHalf == 0.0)
   }
 
-  /** Rows read by the leaf scans of every SQL execution ("number of output
-    * rows" of file or cached-table scans). A cached table's scan lists the plan
-    * that filled the cache as its child; the scan itself is what reads the rows.
-    */
-  private final class ScanRows extends SparkListener {
-    private val scanMetrics = mutable.Set.empty[Long]
-    var rows = 0L
-
-    private def addScans(p: SparkPlanInfo): Unit =
-      if (p.nodeName == "InMemoryTableScan" || (p.children.isEmpty && p.nodeName.contains("Scan")))
-        p.metrics.filter(_.name == "number of output rows").foreach(scanMetrics += _.accumulatorId)
-      else p.children.foreach(addScans)
-
-    override def onOtherEvent(e: SparkListenerEvent): Unit = synchronized {
-      e match {
-        case s: SparkListenerSQLExecutionStart           => addScans(s.sparkPlanInfo)
-        case u: SparkListenerSQLAdaptiveExecutionUpdate => addScans(u.sparkPlanInfo)
-        case _                                           => ()
-      }
-    }
-
-    override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
-      for (a <- e.taskInfo.accumulables if scanMetrics.contains(a.id); u <- a.update)
-        rows += u.toString.toLong
-    }
-  }
-
+  /** Rows read by the leaf scans of the SQL executions `build` runs. */
   private def scannedRows(build: => Unit): Long = {
-    val sc = spark.sparkContext
-    SparkTestAccess.drainListenerBus(sc)
-    val l = new ScanRows
-    sc.addSparkListener(l)
-    try { build; SparkTestAccess.drainListenerBus(sc) }
-    finally sc.removeSparkListener(l)
-    l.synchronized(l.rows)
+    val w = SparkWork.of(spark.sparkContext)(build)
+    w.synchronized(w.rowsRead)
   }
 
   test("AQP++ and KD-US builds read the table twice") {

@@ -163,4 +163,30 @@ class Dp1DSpec extends AnyFunSuite {
     val s = randSample(10, 1)
     intercept[IllegalArgumentException] { Dp1D.adp(s, 2, Agg.Min) }
   }
+
+  /** SUM and AVG oracles over `s` as `Dp1D.adp` builds them for `k` buckets. */
+  private def oracles(s: SortedSample1D, k: Int): Seq[(String, (Int, Int) => Double)] = {
+    val idx = new AvgWindowIndex(s, math.max(4, s.n / (4 * math.max(1, k))))
+    Seq("SUM" -> ((p1, p2) => MaxVar.discSum(s, p1, p2)), "AVG" -> ((p1, p2) => idx.maxAvgVar(p1, p2)))
+  }
+
+  private def bitsOf(p: Dp1D.Partitioning1D): (Seq[Int], Seq[Long], Long) =
+    (p.sampleBounds.toSeq, p.cuts.toSeq.map(java.lang.Double.doubleToRawLongBits),
+     java.lang.Double.doubleToRawLongBits(p.value))
+
+  for (m <- Seq(0, 1, 5, 257, 4096); dup <- Seq(false, true)) {
+    test(s"parallel DP rows are bit-equal to the sequential loop (m=$m, duplicates=$dup)") {
+      val rnd = new scala.util.Random(m * 2 + (if (dup) 1 else 0))
+      // with duplicates: 12 distinct coordinates, and values in 4 ties
+      val cs = Array.fill(m)(if (dup) rnd.nextInt(12).toDouble else rnd.nextDouble() * 100)
+      val as = Array.fill(m)(if (dup) rnd.nextInt(4).toDouble else math.exp(rnd.nextGaussian()))
+      val s  = SortedSample1D(cs, as)
+      for (k <- Seq(1, 2, 7, 64, m + 1); (name, maxVar) <- oracles(s, k); binarySearch <- Seq(true, false)
+           if binarySearch || m < 4096 || k <= 2) { // the linear split scan is O(k·m²)
+        val what = s"$name k=$k binarySearch=$binarySearch"
+        assert(bitsOf(Dp1D.dp(s, k, maxVar, binarySearch)) == bitsOf(ExactDp.sequential(s, k, maxVar, binarySearch)),
+               what)
+      }
+    }
+  }
 }

@@ -79,6 +79,21 @@ class PassBuilderSpec extends SparkSpec {
       assert(r.synopsis.samples(l.leafId).size == math.min(100L, l.count), s"leaf ${l.leafId}")
   }
 
+  test("a TotalBudget share of 2^31 rows or more per leaf keeps every row of every leaf") {
+    import spark.implicits._
+    val tiny = Seq.tabulate(640)(i => (i * 0.5, (i % 9).toDouble)).toDF("x", "v")
+    for (t <- Seq(1L << 37, Long.MaxValue)) {
+      val syn = PassBuilder.build(tiny, Seq("x"), "v", PassBuilder.EqualDepth1D(64), PassBuilder.TotalBudget(t),
+        seed = 2).synopsis
+      assert(syn.leaves.length == 64)
+      for (l <- syn.leaves) assert(syn.samples(l.leafId).size == l.count, s"TotalBudget($t) leaf ${l.leafId}")
+      assert(syn.storedSamples == 640)
+    }
+    val (st, _) = repro.baselines.StratifiedSampling.build(tiny, Seq("x"), "v", strata = 64,
+      totalSamples = 1L << 37, seed = 2)
+    assert(st.storedSamples == 640 && st.totalRows == 640)
+  }
+
   test("PerLeaf allocation gives every leaf exactly min(n, N_i) samples") {
     val r = PassBuilder.build(intel, Seq("time"), "light",
       PassBuilder.Adp1D(32, Agg.Sum), PassBuilder.PerLeaf(40), optSampleSize = 1500, seed = 9)
