@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.bench.Tables
 
 /** spark-submit entrypoint reproducing paper Table 1 (median relative error of
@@ -8,14 +7,5 @@ import repro.bench.Tables
   * Tunables via env: REPRO_SF, REPRO_QUERIES, REPRO_SEED.
   */
 object Table1Job {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder().appName("pass-table1")
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-    try {
-      val (_, text) = Tables.table1(spark)
-      println(text)
-    } finally spark.stop()
-  }
+  def main(args: Array[String]): Unit = TableJob.run("pass-table1")(Tables.table1)
 }

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.bench.Tables
 
 /** spark-submit entrypoint reproducing paper Table 2 (end-to-end PASS vs
@@ -9,14 +8,5 @@ import repro.bench.Tables
   * VerdictDB-lite is the US baseline at K = ⌈r·N⌉ for scramble ratio r.
   */
 object Table2Job {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder().appName("pass-table2")
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-    try {
-      val (_, text) = Tables.table2(spark)
-      println(text)
-    } finally spark.stop()
-  }
+  def main(args: Array[String]): Unit = TableJob.run("pass-table2")(Tables.table2)
 }

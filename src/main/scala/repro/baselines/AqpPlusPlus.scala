@@ -18,18 +18,10 @@ final class PrecompUniformSynopsis(val tree: FlatTree, val sample: LeafSample, v
     * the uniform sample's estimate over the gap.
     */
   def answer(q: Rect, agg: Agg): Estimate = {
-    val f = tree.mcf(q, zeroVarRule = false, Frontier.ofThread)
-    // the uniform sample restricted to the gap `q \ cover`
-    val m = Moments.scan(sample, q, agg, exclude = f)
-    agg match {
-      case Agg.Min => Estimate(m.extreme(agg, f.coverCount, f.coverMin), Double.NaN, processedSamples = m.ki)
-      case Agg.Max => Estimate(m.extreme(agg, f.coverCount, f.coverMax), Double.NaN, processedSamples = m.ki)
-      case _ =>
-        // exact cover + one stratum, the whole table, sampled only in the gap
-        val est = new Stratified(agg, f.coverSum, f.coverCount)
-        est.add(totalRows, m)
-        est.estimate
-    }
+    val f   = tree.mcf(q, zeroVarRule = false, Frontier.ofThread)
+    val est = new Stratified(agg, f) // one stratum, the whole table, sampled only in the gap `q \ cover`
+    est.add(totalRows, Moments.scan(sample, q, agg, exclude = f))
+    est.estimate
   }
 }
 

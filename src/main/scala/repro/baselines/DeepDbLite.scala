@@ -1,6 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, isnan}
 import repro.core.{Agg, Estimate, PassBuilder, Rect}
 
 /** Equi-depth histogram over one column with per-bucket sums, supporting
@@ -47,6 +48,7 @@ final class Histogram private (
 object Histogram {
   def build(xs: Array[Double], buckets: Int): Histogram = {
     require(xs.nonEmpty, "empty column")
+    require(!xs.exists(_.isNaN), "NaN in a histogram column")
     val sorted = xs.sorted
     val n      = sorted.length
     val b      = math.min(buckets, n)
@@ -257,12 +259,15 @@ object DeepDbLite {
     rec(rows.indices.toArray, (0 until nCols).toArray, 0)
   }
 
-  /** Trains from a uniform `sampleRatio` of the table (DeepDB-10%/100%). */
+  /** Trains from a uniform `sampleRatio` of the rows the synopses keep
+    * (DeepDB-10%/100%): no null field and no NaN coordinate.
+    */
   def build(df: DataFrame, predCols: Seq[String], aggCol: String, sampleRatio: Double,
             seed: Long = 42): (DeepDbLiteSynopsis, Long) = {
     val t0   = System.nanoTime()
     val p    = PassBuilder.prepare(df, predCols, aggCol, optSampleSize = 0)
-    val raw  = p.projected.sample(withReplacement = false, math.min(1.0, sampleRatio), seed).collect()
+    val kept = ((predCols :+ aggCol).map(col(_).isNotNull) ++ predCols.map(c => !isnan(col(c)))).reduce(_ && _)
+    val raw  = p.projected.where(kept).sample(withReplacement = false, math.min(1.0, sampleRatio), seed).collect()
     val d    = predCols.length
     val mat  = raw.map(r => Array.tabulate(d + 1)(r.getDouble))
     val root = train(mat, d + 1, seed = seed)

@@ -16,20 +16,15 @@ final class StratifiedSampleSynopsis(private val pass: PassSynopsis) extends Ser
 
   /** Every overlapping stratum is estimated from its sample (no exact parts). */
   def answer(q: Rect, agg: Agg): Estimate = {
-    val extreme = agg == Agg.Min || agg == Agg.Max
-    val est     = new Stratified(agg)
-    var pooled  = Moments.empty // MIN/MAX: the union of the strata's samples
-    val t       = pass.tree
-    var i       = 0
+    val est = new Stratified(agg)
+    val t   = pass.tree
+    var i   = 0
     while (i < t.size) { // the leaves, in leaf-id order
-      if (t.isLeaf(i) && !t.disjoint(i, q) && t.count(i) > 0) {
-        val m = Moments.scan(pass.samples(t.leafId(i)), q, agg)
-        if (extreme) pooled = pooled + m else est.add(t.count(i), m)
-      }
+      if (t.isLeaf(i) && !t.disjoint(i, q) && t.count(i) > 0)
+        est.add(t.count(i), Moments.scan(pass.samples(t.leafId(i)), q, agg))
       i += 1
     }
-    if (extreme) Estimate(pooled.extreme(agg), Double.NaN, processedSamples = pooled.ki)
-    else est.estimate
+    est.estimate
   }
 }
 

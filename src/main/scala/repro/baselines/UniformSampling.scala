@@ -14,14 +14,9 @@ final class UniformSampleSynopsis(val sample: LeafSample, val totalRows: Long) e
   def storageBytes: Long = sample.storageBytes
 
   def answer(q: Rect, agg: Agg): Estimate = {
-    val m = Moments.scan(sample, q, agg)
-    agg match {
-      case Agg.Min | Agg.Max => Estimate(m.extreme(agg), Double.NaN, processedSamples = m.ki)
-      case _ =>
-        val est = new Stratified(agg) // one stratum: the whole table
-        est.add(totalRows, m)
-        est.estimate
-    }
+    val est = new Stratified(agg) // one stratum: the whole table
+    est.add(totalRows, Moments.scan(sample, q, agg))
+    est.estimate
   }
 }
 

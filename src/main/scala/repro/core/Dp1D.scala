@@ -34,9 +34,9 @@ object Dp1D {
     Partitioning1D(bounds, bounds.slice(1, bounds.length - 1).map(s.cs), value)
 
   /** Generic DP over `maxVar(p1, p2)` (max variance of any query inside sample
-    * range `[p1,p2)`). With `binarySearch = true` the inner split search uses
-    * the monotonicity argument of Sec 4.3 (A[·, j−1] nondecreasing, M(·, i)
-    * nonincreasing) to cut a factor of m to log m.
+    * range `[p1,p2)`). The inner split search is a binary search by the
+    * monotonicity argument of Sec 4.3 (A[·, j−1] nondecreasing, M(·, i)
+    * nonincreasing), which cuts a factor of m to log m.
     *
     * For each bucket count j, the entries i = j..m of the DP row read only
     * row j−1 and write only their own slot, so they run in parallel on the
@@ -44,8 +44,7 @@ object Dp1D {
     * threads. Each entry is computed exactly as by a sequential loop, so the
     * result does not depend on the schedule.
     */
-  def dp(s: SortedSample1D, k0: Int, maxVar: (Int, Int) => Double,
-         binarySearch: Boolean): Partitioning1D = {
+  def dp(s: SortedSample1D, k0: Int, maxVar: (Int, Int) => Double): Partitioning1D = {
     val m = s.n
     val k = math.min(k0, math.max(1, m))
     // row(i) = optimal value over the first i samples with j buckets, from j = 1
@@ -62,21 +61,16 @@ object Dp1D {
           val v = math.max(prev(h), maxVar(h, i))
           if (v < bestV) { bestV = v; bestH = h }
         }
-        if (!binarySearch) {
-          var h = j - 1
-          while (h <= i - 1) { consider(h); h += 1 }
-        } else {
-          // prev(h) is nondecreasing and maxVar(h, i) nonincreasing in h; find
-          // the crossing and probe its neighborhood (approximate oracles can
-          // perturb monotonicity locally, so probe a small window).
-          var lo = j - 1; var hi = i - 1
-          while (lo < hi) {
-            val mid = (lo + hi) >>> 1
-            if (prev(mid) < maxVar(mid, i)) lo = mid + 1 else hi = mid
-          }
-          var h = math.max(j - 1, lo - 2)
-          while (h <= math.min(i - 1, lo + 2)) { consider(h); h += 1 }
+        // prev(h) is nondecreasing and maxVar(h, i) nonincreasing in h; find
+        // the crossing and probe its neighborhood (approximate oracles can
+        // perturb monotonicity locally, so probe a small window).
+        var lo = j - 1; var hi = i - 1
+        while (lo < hi) {
+          val mid = (lo + hi) >>> 1
+          if (prev(mid) < maxVar(mid, i)) lo = mid + 1 else hi = mid
         }
+        var h = math.max(j - 1, lo - 2)
+        while (h <= math.min(i - 1, lo + 2)) { consider(h); h += 1 }
         cur(i) = bestV
         choice(j)(i) = bestH
       }
@@ -98,11 +92,11 @@ object Dp1D {
     */
   def adp(s: SortedSample1D, k: Int, agg: Agg, deltaM0: Int = 0): Partitioning1D = agg match {
     case Agg.Count => equalDepth(s, k)
-    case Agg.Sum   => dp(s, k, (p1, p2) => MaxVar.discSum(s, p1, p2), binarySearch = true)
+    case Agg.Sum   => dp(s, k, (p1, p2) => MaxVar.discSum(s, p1, p2))
     case Agg.Avg =>
       val deltaM = if (deltaM0 >= 1) deltaM0 else math.max(4, s.n / (4 * math.max(1, k)))
       val idx    = new AvgWindowIndex(s, deltaM)
-      dp(s, k, (p1, p2) => idx.maxAvgVar(p1, p2), binarySearch = true)
+      dp(s, k, (p1, p2) => idx.maxAvgVar(p1, p2))
     case other => throw new IllegalArgumentException(s"no partitioner for $other")
   }
 

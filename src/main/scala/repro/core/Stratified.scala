@@ -4,26 +4,9 @@ package repro.core
   * count, sum, sum of squares and extrema of the aggregate values of the
   * sampled tuples inside the predicate (`min`/`max` are ±Infinity when none is).
   */
-final case class Moments(ki: Int, kMatch: Int, sum: Double, sumSq: Double, min: Double, max: Double) {
-  /** The moments of the union of two disjoint samples. */
-  def +(o: Moments): Moments =
-    Moments(ki + o.ki, kMatch + o.kMatch, sum + o.sum, sumSq + o.sumSq,
-            math.min(min, o.min), math.max(max, o.max))
-
-  /** The MIN or MAX answer of every sampling synopsis: the extreme of the
-    * matching sampled rows and of `coverCount` exactly aggregated rows whose
-    * extreme is `coverExtreme`; NaN when there is neither.
-    */
-  def extreme(agg: Agg, coverCount: Long = 0L, coverExtreme: Double = Double.NaN): Double =
-    if (coverCount == 0) { if (kMatch == 0) Double.NaN else if (agg == Agg.Min) min else max }
-    else if (agg == Agg.Min) math.min(coverExtreme, min)
-    else math.max(coverExtreme, max)
-}
+final case class Moments(ki: Int, kMatch: Int, sum: Double, sumSq: Double, min: Double, max: Double)
 
 object Moments {
-  /** The moments of an empty sample. */
-  val empty: Moments = Moments(0, 0, 0.0, 0.0, Double.PositiveInfinity, Double.NegativeInfinity)
-
   /** The one scan of a sample, sorted by dimension 0, for aggregate `agg`:
     * its rows inside `[q.lo(0), q.hi(0))` form one run, found by binary
     * search; inside the run only dimensions 1 .. d−1 are checked (none in
@@ -94,18 +77,28 @@ object Moments {
   }
 }
 
-/** The estimator behind every sampling synopsis (Sec 2.1, 2.2, 3.3): exact
-  * totals of the covered nodes plus strata, each of N_i tuples with the
-  * [[Moments]] of its uniform sample. SUM/COUNT add the strata's
-  * Horvitz–Thompson estimates (N_i/K_i)·Σ_match φ, φ = a or 1, and their
-  * FPC-corrected variances; AVG is the ratio of the estimated SUM to COUNT.
-  * US is one stratum of N tuples; ST is one per overlapping leaf, with no
-  * cover; AQP++/KD-US are the cover plus one stratum for the gap.
+/** The estimator behind every sampling synopsis (Sec 2.1, 2.2, 3.3): the
+  * exact aggregate of the MCF `cover` (null: none) plus strata, each of N_i
+  * tuples with the [[Moments]] of its uniform sample. SUM/COUNT add the
+  * strata's Horvitz–Thompson estimates (N_i/K_i)·Σ_match φ, φ = a or 1, and
+  * their FPC-corrected variances; AVG is the ratio of the estimated SUM to
+  * COUNT. MIN/MAX is the extreme of the cover and of the matching sampled
+  * tuples, NaN when there are none, with no CI. US is one stratum of N tuples;
+  * ST is one per overlapping leaf, with no cover; AQP++/KD-US are the cover
+  * plus one stratum for the gap; PASS is the cover plus one per partial leaf.
   */
-final class Stratified(agg: Agg, coverSum: Double = 0.0, coverCount: Long = 0L) {
+final class Stratified(agg: Agg, cover: Frontier = null) {
+  private val coverCount = if (cover == null) 0L else cover.coverCount
+  private val coverSum   = if (cover == null) 0.0 else cover.coverSum
   // SUM/COUNT: Σ of the strata estimates. AVG: the estimated SUM, cover included.
-  private var est  = if (agg == Agg.Avg) coverSum else 0.0
-  private var cnt  = coverCount.toDouble // AVG: the estimated COUNT Ĉ
+  // MIN/MAX: the extreme so far, cover included.
+  private var est = agg match {
+    case Agg.Avg => coverSum
+    case Agg.Min => if (cover == null) Double.PositiveInfinity else cover.coverMin
+    case Agg.Max => if (cover == null) Double.NegativeInfinity else cover.coverMax
+    case _       => 0.0
+  }
+  private var cnt  = coverCount.toDouble // AVG: the estimated COUNT Ĉ. MIN/MAX: the rows seen.
   private var vsum = 0.0 // SUM/COUNT: Σ of the strata variances. AVG: Σ Ĉ_i²·var_i/k_i.
 
   /** Sampled tuples scanned by the strata added so far. */
@@ -114,11 +107,16 @@ final class Stratified(agg: Agg, coverSum: Double = 0.0, coverCount: Long = 0L) 
   /** Adds a stratum of `ni` tuples whose sample has moments `m`. */
   def add(ni: Long, m: Moments): Unit = {
     processed += m.ki
-    if (agg == Agg.Avg) addRatio(ni, m) else addTotal(ni, m)
+    agg match {
+      case Agg.Avg => addRatio(ni, m)
+      case Agg.Min => cnt += m.kMatch; est = math.min(est, m.min)
+      case Agg.Max => cnt += m.kMatch; est = math.max(est, m.max)
+      case _       => addTotal(ni, m)
+    }
   }
 
-  // Two halves, not one body: HotSpot inlines methods below 325 bytecode
-  // bytes, and an inlined `add` keeps the caller's Moments off the heap.
+  // Not one body: HotSpot inlines methods below 325 bytecode bytes, and an
+  // inlined `add` keeps the caller's Moments off the heap.
   private def addTotal(ni: Long, m: Moments): Unit = if (m.ki > 0) {
     val s1     = if (agg == Agg.Count) m.kMatch.toDouble else m.sum
     val s2     = if (agg == Agg.Count) m.kMatch.toDouble else m.sumSq
@@ -138,29 +136,47 @@ final class Stratified(agg: Agg, coverSum: Double = 0.0, coverCount: Long = 0L) 
   }
 
   /** Adds an AVG stratum of `ni` tuples whose values all equal `a` (a 0-variance
-    * node, Sec 3.4): only its matching count is estimated, from `m`.
+    * node, Sec 3.4) and whose sample is the union of `samples(leafLo .. leafHi)`:
+    * only its matching count is estimated.
     */
-  def addConstant(ni: Long, m: Moments, a: Double): Unit = {
-    processed += m.ki
-    if (m.ki > 0 && m.kMatch > 0) {
-      val cHat = ni.toDouble * m.kMatch / m.ki
+  def addConstant(ni: Long, samples: Array[LeafSample], leafLo: Int, leafHi: Int, q: Rect, a: Double): Unit = {
+    var ki = 0; var kMatch = 0
+    var id = leafLo
+    while (id <= leafHi) { // the counts alone: COUNT's scan reads no value
+      val m = Moments.scan(samples(id), q, Agg.Count)
+      ki += m.ki; kMatch += m.kMatch
+      id += 1
+    }
+    processed += ki
+    if (ki > 0 && kMatch > 0) {
+      val cHat = ni.toDouble * kMatch / ki
       est += cHat * a
       cnt += cHat
     }
   }
 
-  /** The point estimate; an AVG whose estimated count is 0 is NaN. */
+  /** The point estimate; an AVG whose estimated count is 0, or a MIN/MAX
+    * that saw no row, is NaN.
+    */
   def value: Double = agg match {
     case Agg.Avg   => if (cnt == 0) Double.NaN else est / cnt
     case Agg.Count => coverCount + est
-    case _         => coverSum + est
+    case Agg.Sum   => coverSum + est
+    case _         => if (cnt == 0) Double.NaN else est
   }
 
-  /** The CLT half-width λ·se; NaN where `value` is. */
+  /** The CLT half-width λ·se; NaN where `value` is, and for MIN/MAX. */
   def ciHalf: Double = agg match {
-    case Agg.Avg => if (cnt == 0) Double.NaN else Stratified.Lambda * math.sqrt(vsum / (cnt * cnt))
-    case _       => Stratified.Lambda * math.sqrt(vsum)
+    case Agg.Avg             => if (cnt == 0) Double.NaN else Stratified.Lambda * math.sqrt(vsum / (cnt * cnt))
+    case Agg.Sum | Agg.Count => Stratified.Lambda * math.sqrt(vsum)
+    case _                   => Double.NaN
   }
+
+  /** MIN/MAX: the extreme of the cover and the matching sampled tuples, ±∞
+    * when there are none. The observed minimum can only overestimate the true
+    * one, so it is PASS's MIN upper bound (and the maximum its MAX lower bound).
+    */
+  def extreme: Double = est
 
   /** The estimate of a synopsis without hard bounds. */
   def estimate: Estimate = Estimate(value, ciHalf, processedSamples = processed)

@@ -55,14 +55,6 @@ final class PassSynopsis(
   /** Synopsis footprint in bytes: tree aggregates + sampled tuples. */
   def storageBytes: Long = tree.storageBytes + sampleBytes
 
-  /** The moments of the union of the samples of leaves `lo` to `hi`. */
-  private def pooledMoments(lo: Int, hi: Int, q: Rect, agg: Agg): Moments = {
-    var m  = Moments.empty
-    var id = lo
-    while (id <= hi) { m = m + Moments.scan(samples(id), q, agg); id += 1 }
-    m
-  }
-
   /** Answers one aggregate query (Sec 3.3) in one pass over the frontier. MCF
     * runs into the calling thread's reused frontier and folds the cover's
     * exact aggregate. One loop then visits the partial leaves, then the
@@ -77,11 +69,8 @@ final class PassSynopsis(
     val f        = t.mcf(q, zeroVarRule && agg == Agg.Avg, Frontier.ofThread)
     val coverCnt = f.coverCount
     val coverSum = f.coverSum
-    val extreme  = agg == Agg.Min || agg == Agg.Max
-    // SUM/COUNT/AVG: the exact cover + one stratum per partial leaf or
-    // 0-variance node. MIN/MAX: the partial leaves' pooled moments in `m`.
-    val est = if (extreme) null else new Stratified(agg, coverSum, coverCnt)
-    var m   = Moments.empty
+    // the exact cover + one stratum per partial leaf or 0-variance node
+    val est = new Stratified(agg, f)
     // the frontier's exact count, sum and extrema, and SUM's hard bounds
     // (generalized for possibly-negative values), each folded in visit order
     var fCnt = 0L; var fSum = 0.0
@@ -98,8 +87,7 @@ final class PassSynopsis(
       lb += (if (t.min(n) >= 0) 0.0 else t.count(n) * math.min(0.0, t.min(n)))
       ub += (if (t.min(n) >= 0) t.sum(n) else t.count(n) * math.max(0.0, t.max(n)))
       if (i >= nPart) // a 0-variance node's sample lives at the leaves below it
-        est.addConstant(t.count(n), pooledMoments(t.leafLo(n), t.leafHi(n), q, agg), t.min(n))
-      else if (extreme) m = m + Moments.scan(samples(t.leafId(n)), q, agg)
+        est.addConstant(t.count(n), samples, t.leafLo(n), t.leafHi(n), q, t.min(n))
       else est.add(t.count(n), Moments.scan(samples(t.leafId(n)), q, agg))
       i += 1
     }
@@ -127,15 +115,12 @@ final class PassSynopsis(
           Estimate(v, math.max(avgUb - v, v - avgLb), avgLb, avgUb, est.processed, skipRate)
         } else Estimate(value, est.ciHalf, avgLb, avgUb, est.processed, skipRate)
 
-      // the observed minimum can only overestimate the true minimum (+∞ if
-      // none is observed); the exact extremes of the cover and the partial
-      // leaves bound it from below
+      // the exact extremes of the cover and the partial leaves bound the
+      // sampled extreme from the other side
       case Agg.Min =>
-        Estimate(m.extreme(agg, coverCnt, f.coverMin), Double.NaN, math.min(f.coverMin, fMin),
-                 math.min(f.coverMin, m.min), m.ki, skipRate)
+        Estimate(est.value, est.ciHalf, math.min(f.coverMin, fMin), est.extreme, est.processed, skipRate)
       case Agg.Max =>
-        Estimate(m.extreme(agg, coverCnt, f.coverMax), Double.NaN, math.max(f.coverMax, m.max),
-                 math.max(f.coverMax, fMax), m.ki, skipRate)
+        Estimate(est.value, est.ciHalf, est.extreme, math.max(f.coverMax, fMax), est.processed, skipRate)
     }
   }
 }

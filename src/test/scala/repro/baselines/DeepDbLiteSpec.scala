@@ -1,6 +1,8 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
 import repro.SparkSpec
 import repro.core.{Agg, Rect}
 import repro.bench.GroundTruth
@@ -127,6 +129,30 @@ class DeepDbLiteSpec extends SparkSpec {
     val root = DeepDbLite.train(rows, 2, seed = 15)
     val syn  = new DeepDbLiteSynopsis(root, 1000, 1000, 1)
     assert(syn.answer(Rect(Array(0.0), Array(5.0)), Agg.Min).value.isNaN)
+  }
+
+  /** `body`, run off the test thread and awaited for at most two minutes: a
+    * build that spins in a loop which never checks for interrupts (which
+    * `failAfter` could not stop) then fails the test instead of hanging the run.
+    */
+  private def endsWithin[T](body: => T): T = Await.result(Future(body)(ExecutionContext.global), 2.minutes)
+
+  test("DeepDB-lite trains only on rows with no null field and no NaN coordinate") {
+    import spark.implicits._
+    val rows = (Seq.tabulate(500)(i => (Option(i.toDouble), Option(i % 9 * 1.0))) ++
+      Seq((Some(Double.NaN), Some(1.0)), (None, Some(1.0)), (Some(7.5), None))).toDF("x", "v")
+    val (syn, _) = endsWithin(DeepDbLite.build(rows, Seq("x"), "v", sampleRatio = 1.0))
+    assert(syn.totalRows == 500 && syn.trainRows == 500)
+    assert(math.abs(syn.answer(Rect.range(0, 500), Agg.Count).value - 500) < 1e-6)
+  }
+
+  test("DeepDB-lite rejects a NaN aggregate value with a clear error") {
+    import spark.implicits._
+    val rows = (Seq.tabulate(500)(i => (i.toDouble, i % 9 * 1.0)) :+ ((3.5, Double.NaN))).toDF("x", "v")
+    val e = intercept[IllegalArgumentException] {
+      endsWithin(DeepDbLite.build(rows, Seq("x"), "v", sampleRatio = 1.0))
+    }
+    assert(e.getMessage.contains("NaN"))
   }
 
   test("storage accounting is positive and bounded by training size") {

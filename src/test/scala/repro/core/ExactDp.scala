@@ -1,7 +1,7 @@
 package repro.core
 
 /** The exact 1-D partitioning DPs, the tests' oracles for the ADP: the
-  * brute-force max-variance oracle, `Dp1D.dp` over it with a linear or a
+  * brute-force max-variance oracle, the DP over it with a linear or a
   * binary-searched split scan, and `Dp1D.dp`'s DP as one sequential loop.
   */
 object ExactDp {
@@ -26,14 +26,15 @@ object ExactDp {
 
   /** Strawman exact DP: brute-force oracle, linear split scan. O(k·m⁴). */
   def naive(s: SortedSample1D, k: Int, agg: Agg, minLen: Int = 1): Dp1D.Partitioning1D =
-    Dp1D.dp(s, k, (p1, p2) => brute(s, agg, p1, p2, minLen), binarySearch = false)
+    sequential(s, k, (p1, p2) => brute(s, agg, p1, p2, minLen), binarySearch = false)
 
   /** Exact oracle with the monotone binary search over split points. O(k·m³·log m). */
   def fast(s: SortedSample1D, k: Int, agg: Agg, minLen: Int = 1): Dp1D.Partitioning1D =
-    Dp1D.dp(s, k, (p1, p2) => brute(s, agg, p1, p2, minLen), binarySearch = true)
+    Dp1D.dp(s, k, (p1, p2) => brute(s, agg, p1, p2, minLen))
 
   /** `Dp1D.dp` with each DP row filled by one sequential loop: the oracle for
-    * its parallel rows, which must give bit-equal bounds and value.
+    * its parallel rows, which must give bit-equal bounds and value. With
+    * `binarySearch = false` each entry scans every split point instead.
     */
   def sequential(s: SortedSample1D, k0: Int, maxVar: (Int, Int) => Double,
                  binarySearch: Boolean): Dp1D.Partitioning1D = {

@@ -20,15 +20,12 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
 
   /** The reference: every row checked in every dimension, in stored order. */
   private def bruteForce(s: LeafSample, q: Rect): Moments = {
-    var m = Moments.empty
-    for (i <- 0 until s.size) {
+    val in = (0 until s.size).filter { i =>
       val x = s.coords(i)
-      if ((0 until q.dims).forall(j => x(j) >= q.lo(j) && x(j) < q.hi(j))) {
-        val a = s.values(i)
-        m = m + Moments(0, 1, a, a * a, a, a)
-      }
-    }
-    m.copy(ki = s.size)
+      (0 until q.dims).forall(j => x(j) >= q.lo(j) && x(j) < q.hi(j))
+    }.map(s.values)
+    Moments(s.size, in.length, in.foldLeft(0.0)(_ + _), in.foldLeft(0.0)((t, a) => t + a * a),
+            in.foldLeft(Double.PositiveInfinity)(math.min), in.foldLeft(Double.NegativeInfinity)(math.max))
   }
 
   /** A probe bound: a sample coordinate itself, a grid point, ±∞, NaN, or a real. */
