@@ -49,7 +49,8 @@ object Histogram {
   def build(xs: Array[Double], buckets: Int): Histogram = {
     require(xs.nonEmpty, "empty column")
     require(!xs.exists(_.isNaN), "NaN in a histogram column")
-    val sorted = xs.sorted
+    val sorted = xs.clone()
+    java.util.Arrays.sort(sorted)
     val n      = sorted.length
     val b      = math.min(buckets, n)
     // Equi-depth quantile edges. A value spanning more than one quantile slot
@@ -259,8 +260,9 @@ object DeepDbLite {
     rec(rows.indices.toArray, (0 until nCols).toArray, 0)
   }
 
-  /** Trains from a uniform `sampleRatio` of the rows the synopses keep
-    * (DeepDB-10%/100%): no null field and no NaN coordinate.
+  /** Trains from a uniform `sampleRatio` of the rows with no null field and
+    * no NaN coordinate (DeepDB-10%/100%). It rejects a NaN aggregate value,
+    * which the other synopses drop and count: `Histogram.build` fails on it.
     */
   def build(df: DataFrame, predCols: Seq[String], aggCol: String, sampleRatio: Double,
             seed: Long = 42): (DeepDbLiteSynopsis, Long) = {

@@ -1,15 +1,17 @@
 package repro.bench
 
+import scala.collection.mutable.ArrayBuilder
+
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.DoubleType
-import repro.core.{Agg, Rect}
+import repro.core.{Agg, IndexSort, PassBuilder, Rect}
 
 /** Exact query answers for benchmark scoring, computed on the driver over the
-  * collected (predicate, aggregate) columns. The 1-D path sorts once and
-  * answers each range in O(log n) with prefix sums; the N-D path scans
-  * column-major arrays. Correctness of both paths is oracle-checked against
-  * DuckDB in `GroundTruthSpec`.
+  * collected (predicate, aggregate) columns. The 1-D path sorts once
+  * (`IndexSort`, NaN last) and answers each range in O(log n) with prefix
+  * sums; the N-D path scans column-major arrays. Correctness of both paths is
+  * oracle-checked against DuckDB in `GroundTruthSpec`.
   */
 final class GroundTruth(
     val coords: Array[Array[Double]], // column-major: coords(dim)(row)
@@ -18,15 +20,17 @@ final class GroundTruth(
   val dims: Int = coords.length
   val n: Int    = values.length
 
-  // 1-D fast path: row order sorted by the single predicate column
-  private val (sortedC, pre1): (Array[Double], Array[Double]) =
+  // 1-D fast path: the predicate column sorted (`sortedC`, read by
+  // `Workloads.ranges1D` too) and the prefix sums of the values in that order
+  private[bench] val (sortedC, pre1): (Array[Double], Array[Double]) =
     if (dims != 1) (null, null)
     else {
-      val idx = values.indices.toArray.sortBy(coords(0))
-      val cs  = idx.map(coords(0))
+      val c0  = coords(0)
+      val idx = IndexSort.sortBy(Array.range(0, n))(c0(_))
+      val cs  = new Array[Double](n)
       val p1  = new Array[Double](n + 1)
       var i   = 0
-      while (i < n) { p1(i + 1) = p1(i) + values(idx(i)); i += 1 }
+      while (i < n) { cs(i) = c0(idx(i)); p1(i + 1) = p1(i) + values(idx(i)); i += 1 }
       (cs, p1)
     }
 
@@ -95,12 +99,36 @@ final class GroundTruth(
 }
 
 object GroundTruth {
-  /** Collects the relevant columns to the driver as column-major arrays. */
+  /** Collects the predicate columns and the aggregate column, cast to double,
+    * to the driver as column-major arrays, in the frame's row order. Each
+    * Spark task reads its Catalyst rows into one primitive array per column
+    * (`PassBuilder.collectPartitions`). A row with a NaN is kept; a null field
+    * fails with an `IllegalArgumentException` that names its column.
+    */
   def collect(df: DataFrame, predCols: Seq[String], aggCol: String): GroundTruth = {
-    val cols = (predCols :+ aggCol).map(c => col(c).cast(DoubleType).as(c))
-    val rows = df.select(cols: _*).collect()
-    val d    = predCols.length
-    val coords = Array.tabulate(d)(dim => rows.map(_.getDouble(dim)))
-    new GroundTruth(coords, rows.map(_.getDouble(d)))
+    val names = predCols :+ aggCol
+    val w     = names.length
+    val parts = PassBuilder.collectPartitions(df.select(names.map(c => col(c).cast(DoubleType).as(c)): _*)) {
+      (_, rows) =>
+        val cols   = Array.fill(w)(new ArrayBuilder.ofDouble)
+        var nullAt = -1 // the first null field's column, if any
+        while (nullAt < 0 && rows.hasNext) {
+          val r = rows.next()
+          var j = 0
+          while (j < w && !r.isNullAt(j)) j += 1
+          if (j < w) nullAt = j
+          else {
+            j = 0
+            while (j < w) { cols(j) += r.getDouble(j); j += 1 }
+          }
+        }
+        (cols.map(_.result()), nullAt)
+    }
+    parts.find(_._2 >= 0).foreach { case (_, j) =>
+      throw new IllegalArgumentException(s"column ${names(j)} holds a null; GroundTruth needs a value in every row")
+    }
+    require(parts.map(_._1(0).length.toLong).sum <= Int.MaxValue, "more rows than one array holds")
+    val columns = Array.tabulate(w)(j => Array.concat(parts.map(_._1(j)).toIndexedSeq: _*))
+    new GroundTruth(columns.take(predCols.length), columns(predCols.length))
   }
 }

@@ -10,13 +10,17 @@ import repro.core.Rect
 object Workloads {
 
   /** Random 1-D ranges over the sorted predicate values of `gt`, each matching
-    * at least `minFrac` of the rows.
+    * at least `minFrac` of the rows that some range can match. A NaN or +∞
+    * coordinate lies in no half-open range; both sort last, so the endpoints
+    * come from the prefix before them.
     */
   def ranges1D(gt: GroundTruth, nQueries: Int, minFrac: Double, seed: Long): Array[Rect] = {
     require(gt.dims == 1, "ranges1D needs a 1-D ground truth")
-    val rnd    = new scala.util.Random(seed)
-    val cs     = gt.coords(0).sorted
-    val n      = cs.length
+    val rnd = new scala.util.Random(seed)
+    val cs  = gt.sortedC
+    var n   = cs.length
+    while (n > 0 && !(cs(n - 1) < Double.PositiveInfinity)) n -= 1
+    require(n > 0, "ranges1D needs a row with a coordinate below +Infinity")
     val minLen = math.max(1, (minFrac * n).toInt)
     Array.fill(nQueries) {
       val i = rnd.nextInt(math.max(1, n - minLen))
@@ -35,7 +39,9 @@ object Workloads {
       val xs = gt.coords(d)
       // subsampled sorted values as a quantile table
       val step = math.max(1, xs.length / 4096)
-      xs.indices.by(step).map(xs).toArray.sorted
+      val qs   = xs.indices.by(step).map(xs).toArray
+      java.util.Arrays.sort(qs)
+      qs
     }
     def candidate(): Rect = {
       val lo = new Array[Double](gt.dims)

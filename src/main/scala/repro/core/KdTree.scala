@@ -34,7 +34,7 @@ object KdTree {
     agg match {
       case Agg.Count => MaxVar.countExact(n)
       case Agg.Sum =>
-        val sorted = idx.sortBy(pts(_)(dim))
+        val sorted = IndexSort.sortBy(idx)(pts(_)(dim))
         def half(lo: Int, hi: Int): Double = {
           var s1 = 0.0; var s2 = 0.0; var i = lo
           while (i < hi) { val a = vals(sorted(i)); s1 += a; s2 += a * a; i += 1 }
@@ -54,7 +54,7 @@ object KdTree {
             val c = cell.length.toDouble
             if (c > 0) best = math.max(best, math.max(0.0, (n * s2 - s1 * s1) / (n * c * c)))
           } else {
-            val sorted = cell.sortBy(pts(_)(d % pts(cell(0)).length))
+            val sorted = IndexSort.sortBy(cell)(pts(_)(d % pts(cell(0)).length))
             val mid    = sorted.length / 2
             rec(sorted.slice(0, mid), d + 1)
             rec(sorted.slice(mid, sorted.length), d + 1)
@@ -71,7 +71,8 @@ object KdTree {
     val d = node.rect.dims
     // per-dimension median of the node's own points ("median of each attribute")
     val splits = Array.tabulate(d) { j =>
-      val coords = node.points.map(pts(_)(j)).sorted
+      val coords = node.points.map(pts(_)(j))
+      java.util.Arrays.sort(coords)
       coords(coords.length / 2)
     }
     val buckets = Array.fill(1 << d)(ArrayBuffer.empty[Int])

@@ -3,6 +3,7 @@ package repro.core
 import scala.reflect.ClassTag
 
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.DoubleType
@@ -23,8 +24,7 @@ import org.apache.spark.sql.types.DoubleType
   * Each scan is one SQL execution that reads the projection's Catalyst
   * `InternalRow`s (`queryExecution.toRdd`) with no `Row` decoding and no
   * shuffle ([[PassBuilder.InternalRowScan]]). Rows with a null or NaN
-  * predicate coordinate or a null aggregate value are left out of both and
-  * counted.
+  * predicate coordinate or aggregate value are left out of both and counted.
   */
 object PassBuilder {
 
@@ -54,7 +54,7 @@ object PassBuilder {
 
   /** Construction output plus cost accounting for the paper's tables.
     * `droppedRows` counts the rows left out of the synopsis: a null or NaN
-    * predicate coordinate, or a null aggregate value.
+    * predicate coordinate or aggregate value.
     */
   final case class BuildResult(
       synopsis: PassSynopsis,
@@ -117,34 +117,43 @@ object PassBuilder {
     def apply[S <: RowSink[S]: ClassTag](projected: DataFrame, d: Int)(sink: Int => S): S
   }
 
-  /** The build's scan. It runs the projection's physical plan as an RDD of
-    * Catalyst `InternalRow`s and reads each field in place, inside one SQL
-    * execution started from the caller's frame, so the SQL listener sees the
-    * scan, its call site and the rows its plan reads. The sinks come back
+  /** The build's scan, over [[collectPartitions]]; the sinks come back
     * through the RDD's `collect`.
     */
   private[repro] object InternalRowScan extends Scan {
     def apply[S <: RowSink[S]: ClassTag](projected: DataFrame, d: Int)(sink: Int => S): S = {
-      val qe = projected.queryExecution
-      val parts = SQLExecution.withNewExecutionId(qe) {
-        qe.toRdd.mapPartitionsWithIndex { (part, rows) =>
-          val s = sink(part)
-          val x = new Array[Double](d)
-          while (rows.hasNext) {
-            val r = rows.next()
-            var j = 0
-            while (j <= d && !r.isNullAt(j)) j += 1
-            if (j <= d) s.drop()
-            else {
-              j = 0
-              while (j < d) { x(j) = r.getDouble(j); j += 1 }
-              s.offer(x, r.getDouble(d))
-            }
+      val parts = collectPartitions(projected) { (part, rows) =>
+        val s = sink(part)
+        val x = new Array[Double](d)
+        while (rows.hasNext) {
+          val r = rows.next()
+          var j = 0
+          while (j <= d && !r.isNullAt(j)) j += 1
+          if (j <= d) s.drop()
+          else {
+            j = 0
+            while (j < d) { x(j) = r.getDouble(j); j += 1 }
+            s.offer(x, r.getDouble(d))
           }
-          Iterator.single(s)
-        }.collect()
+        }
+        s
       }
       mergeInOrder(parts, sink)
+    }
+  }
+
+  /** `f(partition id, rows)` of every Spark partition of `projected`, in
+    * partition order. It runs the projection's physical plan as an RDD of
+    * Catalyst `InternalRow`s, which `f` reads in place (a row object may be
+    * reused for the next row), inside one SQL execution started from the
+    * caller's frame, so the SQL listener sees the scan, its call site and the
+    * rows its plan reads. No `Row` is decoded, and the helper adds no shuffle.
+    */
+  private[repro] def collectPartitions[T: ClassTag](projected: DataFrame)(
+      f: (Int, Iterator[InternalRow]) => T): Array[T] = {
+    val qe = projected.queryExecution
+    SQLExecution.withNewExecutionId(qe) {
+      qe.toRdd.mapPartitionsWithIndex((part, rows) => Iterator.single(f(part, rows))).collect()
     }
   }
 

@@ -42,7 +42,7 @@ final class PriorityReservoir(val k: Int, val rate: Double, val d: Int) extends 
     * order, as coordinate rows and values: a uniform sample of min(m, size).
     */
   def smallest(m: Int = n): (Array[Array[Double]], Array[Double]) = {
-    val order = Array.range(0, n).sortBy(prio(_)).take(m)
+    val order = IndexSort.sortBy(Array.range(0, n))(prio(_)).take(m)
     (order.map(i => java.util.Arrays.copyOfRange(coords, i * d, i * d + d)), order.map(vals))
   }
 
@@ -111,14 +111,15 @@ object PriorityReservoir {
 }
 
 /** What one Spark task of a build scan accumulates from its rows; the Spark
-  * driver merges the tasks' sinks. A row with a NaN coordinate (or, decided
-  * by the caller, a null field) is dropped and only counted.
+  * driver merges the tasks' sinks. A row with a NaN coordinate or value (or,
+  * decided by the caller, a null field) is dropped and only counted.
   */
 abstract class RowSink[S <: RowSink[S]] extends Serializable {
   var dropped = 0L
 
-  /** Adds the row with coordinates `x` and value `v`, unless a coordinate is NaN. */
+  /** Adds the row with coordinates `x` and value `v`, unless `v` or a coordinate is NaN. */
   final def offer(x: Array[Double], v: Double): Unit = {
+    if (v.isNaN) { dropped += 1; return }
     var j = 0
     while (j < x.length) {
       if (x(j).isNaN) { dropped += 1; return }

@@ -18,7 +18,7 @@ object LeafSample {
   /** The sample of the given rows, stably reordered by dimension 0. */
   def apply(coords: Array[Array[Double]], values: Array[Double]): LeafSample = {
     require(coords.length == values.length, "coords/values length mismatch")
-    val order = Array.range(0, values.length).sortBy(coords(_)(0))(Ordering.Double.TotalOrdering)
+    val order = IndexSort.sortBy(Array.range(0, values.length))(coords(_)(0))
     new LeafSample(order.map(coords), order.map(values))
   }
 

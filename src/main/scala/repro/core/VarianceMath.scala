@@ -76,7 +76,7 @@ object SortedSample1D {
   /** Builds the view from unsorted (c, a) pairs. */
   def apply(cs: Array[Double], as: Array[Double]): SortedSample1D = {
     require(cs.length == as.length, "column length mismatch")
-    val idx = cs.indices.toArray.sortBy(cs)
+    val idx = IndexSort.sortBy(Array.range(0, cs.length))(cs(_))
     new SortedSample1D(idx.map(cs), idx.map(as))
   }
 

@@ -89,10 +89,11 @@ class UniformStratifiedSpec extends SparkSpec {
     }
   }
 
-  test("US and AQP++ leave out rows with a null value or a NaN or null coordinate") {
+  test("US and AQP++ leave out rows with a NaN or null value or a NaN or null coordinate") {
     import spark.implicits._
     val rows = (Seq.tabulate(500)(i => (Option(i.toDouble), Option(i % 9 * 1.0))) ++
-      Seq((Some(Double.NaN), Some(1.0)), (None, Some(1.0)), (Some(7.5), None))).toDF("x", "v")
+      Seq((Some(Double.NaN), Some(1.0)), (None, Some(1.0)), (Some(7.5), None), (Some(8.5), Some(Double.NaN))))
+      .toDF("x", "v")
     val (us, _) = UniformSampling.build(rows, Seq("x"), "v", k = 1000)
     assert(us.k == 500 && us.totalRows == 500)
     assert(!us.sample.values.exists(_.isNaN) && !us.sample.coords.exists(_(0).isNaN))

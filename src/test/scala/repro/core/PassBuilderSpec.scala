@@ -283,29 +283,31 @@ class PassBuilderSpec extends SparkSpec {
     assert(fingerprint(other) != fingerprint(buildAdp(k = 16).synopsis))
   }
 
-  test("rows with a NaN or null coordinate or a null value are dropped and counted") {
+  test("rows with a NaN or null coordinate or a NaN or null value are dropped and counted") {
     import spark.implicits._
     val rnd   = new scala.util.Random(4)
     val clean = Seq.tabulate(3000)(i =>
       (Option(i * 0.37 % 1000), Option(rnd.nextDouble() * 10), Option(i % 7 * 1.0)))
     val dirty = Seq[(Option[Double], Option[Double], Option[Double])](
       (Some(Double.NaN), Some(1.0), Some(5.0)), (None, Some(2.0), Some(5.0)), (Some(10.0), None, Some(5.0)),
-      (Some(20.0), Some(Double.NaN), Some(5.0)), (Some(30.0), Some(3.0), None), (Some(40.0), Some(4.0), None))
+      (Some(20.0), Some(Double.NaN), Some(5.0)), (Some(30.0), Some(3.0), None), (Some(40.0), Some(4.0), None),
+      (Some(50.0), Some(5.0), Some(Double.NaN)))
     val rows  = rnd.shuffle(clean ++ dirty).toDF("x", "y", "v").persist()
     try {
-      val cleanDf = rows.na.drop().filter(!isnan(col("x")) && !isnan(col("y")))
+      val cleanDf = rows.na.drop().filter(!isnan(col("x")) && !isnan(col("y")) && !isnan(col("v")))
       assert(cleanDf.count() == 3000)
-      // 1-D over x: NaN or null x, and null v, are dropped; a NaN or null y is not read
+      // 1-D over x: NaN or null x, and NaN or null v, are dropped; a NaN or null y is not read
       val r1 = PassBuilder.build(rows, Seq("x"), "v", PassBuilder.EqualDepth1D(8), PassBuilder.PerLeaf(20),
         optSampleSize = 500, seed = 3)
-      assert(r1.droppedRows == 4)
-      val gt1 = GroundTruth.collect(rows.na.drop(Seq("x", "v")).filter(!isnan(col("x"))), Seq("x"), "v")
+      assert(r1.droppedRows == 5)
+      val gt1 = GroundTruth.collect(rows.na.drop(Seq("x", "v")).filter(!isnan(col("x")) && !isnan(col("v"))),
+        Seq("x"), "v")
       assert(r1.synopsis.root.count == 3002 && gt1.n == 3002)
       assertLeavesExact(r1.synopsis, gt1, "1-D")
       // 2-D over (x, y): every dirty row is dropped
       val r2 = PassBuilder.build(rows, Seq("x", "y"), "v", PassBuilder.KdGreedy(16, Agg.Sum),
         PassBuilder.Rate(0.1), optSampleSize = 500, seed = 3)
-      assert(r2.droppedRows == 6 && r2.synopsis.totalRows == 3000)
+      assert(r2.droppedRows == 7 && r2.synopsis.totalRows == 3000)
       assertLeavesExact(r2.synopsis, GroundTruth.collect(cleanDf, Seq("x", "y"), "v"), "2-D")
       for (s <- r2.synopsis.samples; i <- 0 until s.size)
         assert(!s.coords(i).exists(_.isNaN) && !s.values(i).isNaN)
