@@ -45,7 +45,7 @@ class Table1Bench extends SparkSpec {
     // that PASS is not mysteriously cheaper than half a US build.
     val (rows, _) = result
     val byName = rows.map(r => r.approach -> r).toMap
-    assert(byName("PASS-ESS").costS >= byName("US").costS * 0.5,
+    assert(byName("PASS-ESS").buildS >= byName("US").buildS * 0.5,
            "PASS pays an upfront optimization cost")
   }
 

@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.core.Agg
 
 /** Reproduces paper Table 2 and asserts its shape: the PASS variants trade
   * storage for accuracy; VerdictDB-100% is near-exact but pays full-table
@@ -17,7 +18,7 @@ class Table2Bench extends SparkSpec {
     assert(rows.map(_.approach) == Seq("PASS-BSS1x", "PASS-BSS2x", "PASS-BSS10x",
       "VerdictDB-10%", "VerdictDB-100%", "DeepDB-10%", "DeepDB-100%"))
     val names = Seq("Intel", "Insta", "NYC", "NYC-2D", "NYC-3D", "NYC-4D", "NYC-5D")
-    assert(rows.forall(r => names.forall(r.re.contains)))
+    assert(rows.forall(r => names.forall(n => r.re.contains((Agg.Sum, n)))))
   }
 
   test("PASS storage scales with the BSS multiple") {
@@ -46,7 +47,7 @@ class Table2Bench extends SparkSpec {
   test("PASS multi-d error grows with dimension (paper's skip-rate decay)") {
     val (rows, _) = result
     val p = rows.find(_.approach == "PASS-BSS1x").get
-    assert(p.re("NYC-5D") + 1e-4 >= p.re("NYC-2D") * 0.5,
+    assert(p.re((Agg.Sum, "NYC-5D")) + 1e-4 >= p.re((Agg.Sum, "NYC-2D")) * 0.5,
            "higher dimensions should not be dramatically easier")
   }
 

@@ -11,7 +11,7 @@ import repro.core._
   * hill-climbing heuristic in 1-D; KD-US expands a balanced kd-tree.
   */
 final class PrecompUniformSynopsis(val tree: FlatTree, val sample: LeafSample, val totalRows: Long)
-    extends Serializable {
+    extends Synopsis with Serializable {
   def storageBytes: Long = tree.storageBytes + sample.storageBytes
 
   /** Answers one query: the cover's exact aggregate, as MCF folds it, plus
@@ -96,6 +96,7 @@ object AqpPlusPlus {
   def build(df: DataFrame, predCols: Seq[String], aggCol: String, partitions: Int,
             totalSamples: Long, seed: Long = 42): (PrecompUniformSynopsis, Long) = {
     require(predCols.length == 1, "AQP++ baseline here is 1-D; use buildKdUs for d>1")
+    require(partitions >= 1, s"partition count $partitions must be at least 1")
     precompUniform(df, predCols, aggCol, PassBuilder.Cuts1D(hillClimbCuts(_, partitions, seed = seed)),
       totalSamples, seed)
   }

@@ -1,8 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.{col, isnan}
-import repro.core.{Agg, Estimate, PassBuilder, Rect}
+import repro.core.{Agg, Estimate, PassBuilder, Rect, Synopsis}
 
 /** Equi-depth histogram over one column with per-bucket sums, supporting
   * `P(lo <= x < hi)` and `E[x · 1(lo <= x < hi)]` under a within-bucket
@@ -104,7 +103,7 @@ final class DeepDbLiteSynopsis(
     val totalRows: Long,
     val trainRows: Int,
     val aggCol: Int,
-) extends Serializable {
+) extends Synopsis with Serializable {
 
   def storageBytes: Long = {
     def size(n: SpnNode): Long = n match {
@@ -260,18 +259,18 @@ object DeepDbLite {
     rec(rows.indices.toArray, (0 until nCols).toArray, 0)
   }
 
-  /** Trains from a uniform `sampleRatio` of the rows with no null field and
-    * no NaN coordinate (DeepDB-10%/100%). It rejects a NaN aggregate value,
-    * which the other synopses drop and count: `Histogram.build` fails on it.
+  /** Trains on a uniform sample of min(`trainRows`, N) rows, drawn in the one
+    * scan that also counts N. Like every other synopsis it keeps only the N
+    * rows with no null field and no NaN, and counts the rest as dropped.
     */
-  def build(df: DataFrame, predCols: Seq[String], aggCol: String, sampleRatio: Double,
+  def build(df: DataFrame, predCols: Seq[String], aggCol: String, trainRows: Int,
             seed: Long = 42): (DeepDbLiteSynopsis, Long) = {
+    require(trainRows >= 1, s"training sample size $trainRows must be at least 1")
     val t0   = System.nanoTime()
-    val p    = PassBuilder.prepare(df, predCols, aggCol, optSampleSize = 0)
-    val kept = ((predCols :+ aggCol).map(col(_).isNotNull) ++ predCols.map(c => !isnan(col(c)))).reduce(_ && _)
-    val raw  = p.projected.where(kept).sample(withReplacement = false, math.min(1.0, sampleRatio), seed).collect()
+    val p    = PassBuilder.prepare(df, predCols, aggCol, seed, optSampleSize = 0, uniformSize = trainRows)
+    val s    = p.uniform
+    val mat  = Array.tabulate(s.size)(i => s.coords(i) :+ s.values(i))
     val d    = predCols.length
-    val mat  = raw.map(r => Array.tabulate(d + 1)(r.getDouble))
     val root = train(mat, d + 1, seed = seed)
     (new DeepDbLiteSynopsis(root, p.totalRows, mat.length, d), (System.nanoTime() - t0) / 1000000L)
   }

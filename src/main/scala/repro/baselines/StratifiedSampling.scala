@@ -9,7 +9,7 @@ import repro.core._
   * covered ones. Strata counts and samples come from the same two Spark scans
   * as PASS (exactly min(K/B, N_i) rows per stratum) via [[repro.core.PassBuilder]].
   */
-final class StratifiedSampleSynopsis(private val pass: PassSynopsis) extends Serializable {
+final class StratifiedSampleSynopsis(private val pass: PassSynopsis) extends Synopsis with Serializable {
   def totalRows: Long     = pass.totalRows
   def storedSamples: Long = pass.storedSamples
   def storageBytes: Long  = pass.sampleBytes

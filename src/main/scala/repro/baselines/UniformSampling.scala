@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{Agg, Estimate, LeafSample, Moments, PassBuilder, Rect, Stratified}
+import repro.core.{Agg, Estimate, LeafSample, Moments, PassBuilder, Rect, Stratified, Synopsis}
 
 /** The US baseline: a single uniform sample of K tuples; SUM/COUNT/AVG via the
   * φ-transform of Sec 2.1 with CLT confidence intervals. No hard bounds, no
@@ -9,7 +9,8 @@ import repro.core.{Agg, Estimate, LeafSample, Moments, PassBuilder, Rect, Strati
   * At K = ⌈r·N⌉ it is Table 2's VerdictDB substitute: a VerdictDB "scramble"
   * of ratio r is a uniform sample that every query scans with scaled estimators.
   */
-final class UniformSampleSynopsis(val sample: LeafSample, val totalRows: Long) extends Serializable {
+final class UniformSampleSynopsis(val sample: LeafSample, val totalRows: Long)
+    extends Synopsis with Serializable {
   def k: Int = sample.size
   def storageBytes: Long = sample.storageBytes
 

@@ -76,7 +76,8 @@ final class GroundTruth(
 
   private def compute(q: Rect, agg: Agg): Double = {
     if (dims == 1 && (agg == Agg.Sum || agg == Agg.Count || agg == Agg.Avg)) {
-      val i = lowerBound(q.lo(0)); val j = lowerBound(q.hi(0))
+      // an inverted or NaN-bounded range matches no row, as in `stats`
+      val i = lowerBound(q.lo(0)); val j = if (q.lo(0) <= q.hi(0)) lowerBound(q.hi(0)) else i
       agg match {
         case Agg.Sum   => pre1(j) - pre1(i)
         case Agg.Count => (j - i).toDouble

@@ -50,10 +50,47 @@ object Tables {
     bundle1D("NYC", Datasets.nycLite(spark, sf), "pickup_datetime", "trip_distance", queries),
   )
 
-  // ------------------------------------------------------------------ Table 1
+  /** One approach's scores: build seconds and storage averaged over the
+    * bundles, query latency averaged (and its maximum taken) over the
+    * (aggregate, bundle) cells, and each cell's median relative error.
+    */
+  final case class Row(approach: String, buildS: Double, storageMB: Double, latencyMs: Double,
+                       maxLatencyMs: Double, re: Map[(Agg, String), Double])
 
-  final case class Table1Row(approach: String, costS: Double,
-                             re: Map[(Agg, String), Double])
+  /** Builds `approach` on each bundle (the synopsis and its build
+    * milliseconds) and scores it on the bundle's queries under each aggregate.
+    */
+  private[bench] def measure(approach: String, bundles: Seq[Bundle], aggs: Seq[Agg])(
+      build: Bundle => (Synopsis, Long)): Row = {
+    var buildS    = 0.0
+    var storageMB = 0.0
+    val cells = bundles.flatMap { b =>
+      val (syn, ms) = build(b)
+      buildS += ms / 1000.0
+      storageMB += syn.storageBytes / 1048576.0
+      aggs.map(a => (a, b.name) -> Harness.evaluate(syn.answer, b.gt, b.queries, a))
+    }
+    val metrics = cells.map(_._2)
+    Row(approach, buildS / bundles.size, storageMB / bundles.size,
+        metrics.map(_.meanLatencyMs).sum / metrics.size, metrics.map(_.maxLatencyMs).max,
+        cells.map { case (cell, m) => cell -> m.medianRelErr }.toMap)
+  }
+
+  /** A PASS approach: the bundle's partitioner and sample allocation. */
+  private def pass(partitioner: Bundle => PassBuilder.Partitioner, alloc: Bundle => PassBuilder.Allocation)(
+      b: Bundle): (Synopsis, Long) = {
+    val r = PassBuilder.build(b.df, b.predCols, b.aggCol, partitioner(b), alloc(b), seed = seed)
+    (r.synopsis, r.buildMillis)
+  }
+
+  /** Tables 1 and 2's partitioning: ADP in one dimension, KD-PASS's greedy
+    * expansion to one leaf per ~3000 rows (64..1024) beyond.
+    */
+  private def adpOrKd(b: Bundle): PassBuilder.Partitioner =
+    if (b.predCols.length == 1) PassBuilder.Adp1D(partitions, Agg.Sum)
+    else PassBuilder.KdGreedy(math.max(64, math.min(1024, (b.n / 3000L).toInt)), Agg.Sum)
+
+  // ------------------------------------------------------------------ Table 1
 
   /** Paper Table 1 reference: cost, then COUNT/SUM/AVG × Intel/Insta/NYC (%). */
   val paperTable1: Map[String, (Double, Seq[Double])] = Map(
@@ -65,45 +102,19 @@ object Tables {
     "PASS-BSS10x" -> (23.0, Seq(0.06, 0.06, 0.02, 0.1, 0.11, 0.07, 0.08, 0.09, 0.07)),
   )
 
-  def table1(spark: SparkSession): (Seq[Table1Row], String) = {
-    val bs   = bundles1D(spark)
-    val aggs = Seq(Agg.Count, Agg.Sum, Agg.Avg)
-
-    // one row: the mean build time over the bundles, and each bundle's
-    // median relative error per aggregate
-    def row(approach: String, build: Bundle => ((Rect, Agg) => Estimate, Long)): Table1Row = {
-      var cost = 0.0
-      val re = bs.flatMap { b =>
-        val (answer, ms) = build(b)
-        cost += ms / 1000.0
-        aggs.map(a => (a, b.name) -> Harness.evaluate(answer, b.gt, b.queries, a).medianRelErr)
-      }.toMap
-      Table1Row(approach, cost / bs.size, re)
-    }
-    def pass(alloc: Bundle => PassBuilder.Allocation)(b: Bundle): ((Rect, Agg) => Estimate, Long) = {
-      val r = PassBuilder.build(b.df, b.predCols, b.aggCol, PassBuilder.Adp1D(partitions, Agg.Sum), alloc(b),
-                                seed = seed)
-      (r.synopsis.answer, r.buildMillis)
-    }
+  def table1(spark: SparkSession): (Seq[Row], String) = {
+    val bs      = bundles1D(spark)
+    val aggs    = Seq(Agg.Count, Agg.Sum, Agg.Avg)
     val essRate = math.min(0.5, sampleRate * partitions / 2.0) // PASS-ESS: processed tuples per query ≈ K
 
-    val rows = Seq(
-      row("US", { b =>
-        val (s, ms) = UniformSampling.build(b.df, b.predCols, b.aggCol, b.k, seed)
-        (s.answer, ms)
-      }),
-      row("ST", { b =>
-        val (s, ms) = StratifiedSampling.build(b.df, b.predCols, b.aggCol, partitions, b.k, seed)
-        (s.answer, ms)
-      }),
-      row("AQP++", { b =>
-        val (s, ms) = AqpPlusPlus.build(b.df, b.predCols, b.aggCol, partitions, b.k, seed)
-        (s.answer, ms)
-      }),
-      row("PASS-ESS", pass(_ => PassBuilder.Rate(essRate))),
-      row("PASS-BSS2x", pass(b => PassBuilder.TotalBudget(2L * b.k))),
-      row("PASS-BSS10x", pass(b => PassBuilder.TotalBudget(10L * b.k))),
-    )
+    val rows = Seq[(String, Bundle => (Synopsis, Long))](
+      ("US", b => UniformSampling.build(b.df, b.predCols, b.aggCol, b.k, seed)),
+      ("ST", b => StratifiedSampling.build(b.df, b.predCols, b.aggCol, partitions, b.k, seed)),
+      ("AQP++", b => AqpPlusPlus.build(b.df, b.predCols, b.aggCol, partitions, b.k, seed)),
+      ("PASS-ESS", pass(adpOrKd, _ => PassBuilder.Rate(essRate))),
+      ("PASS-BSS2x", pass(adpOrKd, b => PassBuilder.TotalBudget(2L * b.k))),
+      ("PASS-BSS10x", pass(adpOrKd, b => PassBuilder.TotalBudget(10L * b.k))),
+    ).map { case (approach, build) => measure(approach, bs, aggs)(build) }
 
     val header = f"${"approach"}%-12s ${"cost"}%-16s " +
       aggs.flatMap(a => bs.map(b => f"${a.toString.toUpperCase}%s ${b.name}%s")).map(s => f"$s%-22s").mkString
@@ -114,7 +125,7 @@ object Tables {
           f"${r.re((a, b.name)) * 100}%.3f%% (${pRe(ai * bs.size + bi)}%.2f%%)"
         }
       }
-      f"${r.approach}%-12s ${f"${r.costS}%.2fs ($pCost%.2fs)"}%-16s " + cells.map(s => f"$s%-22s").mkString
+      f"${r.approach}%-12s ${f"${r.buildS}%.2fs ($pCost%.2fs)"}%-16s " + cells.map(s => f"$s%-22s").mkString
     }
     val text = ("Table 1 — median relative error, measured (paper)\n" + header + "\n" +
       lines.mkString("\n"))
@@ -123,9 +134,6 @@ object Tables {
   }
 
   // ------------------------------------------------------------------ Table 2
-
-  final case class Table2Row(approach: String, latencyMs: Double, storageMB: Double,
-                             buildS: Double, re: Map[String, Double])
 
   /** Paper Table 2 reference: latency(ms), storage(MB), time(s), then RE (%)
     * for Intel, Insta, NYC, NYC-2D, NYC-3D, NYC-4D, NYC-5D.
@@ -157,64 +165,22 @@ object Tables {
     oneD ++ multi
   }
 
-  def table2(spark: SparkSession): (Seq[Table2Row], String) = {
-    val queries = math.max(100, nQ * 5 / 8)
-    val bs      = bundlesTable2(spark, queries)
-    val kdLeaves = math.max(64, math.min(1024, (bs.last.n / 3000L).toInt))
+  def table2(spark: SparkSession): (Seq[Row], String) = {
+    val bs = bundlesTable2(spark, math.max(100, nQ * 5 / 8))
 
-    def evalAll(build: Bundle => (Rect => Estimate, Double, Double)): (Double, Double, Double, Map[String, Double]) = {
-      var lat = 0.0; var stor = 0.0; var cost = 0.0
-      val re = bs.map { b =>
-        val (answer, mb, sec) = build(b)
-        stor += mb; cost += sec
-        val m = Harness.evaluate((q, _) => answer(q), b.gt, b.queries, Agg.Sum)
-        lat += m.meanLatencyMs
-        b.name -> m.medianRelErr
-      }.toMap
-      (lat / bs.size, stor / bs.size, cost / bs.size, re)
-    }
+    // VerdictDB-lite: a scramble of ratio r is US at K = ⌈r·N⌉. DeepDB-lite
+    // trains on as many rows, capped so structure learning stays tractable.
+    def share(ratio: Double, b: Bundle): Int = math.ceil(ratio * b.n).toInt
 
-    def passRow(name: String, mult: Long): Table2Row = {
-      val (lat, stor, cost, re) = evalAll { b =>
-        val part: PassBuilder.Partitioner =
-          if (b.predCols.length == 1) PassBuilder.Adp1D(partitions, Agg.Sum)
-          else PassBuilder.KdGreedy(kdLeaves, Agg.Sum)
-        val r = PassBuilder.build(b.df, b.predCols, b.aggCol, part,
-          PassBuilder.TotalBudget(mult * b.k), seed = seed)
-        (q => r.synopsis.answer(q, Agg.Sum), r.synopsis.storageBytes / 1048576.0, r.buildMillis / 1000.0)
-      }
-      Table2Row(name, lat, stor, cost, re)
-    }
-
-    // VerdictDB-lite: a scramble of ratio r is US at K = ⌈r·N⌉
-    def verdictRow(name: String, ratio: Double): Table2Row = {
-      val (lat, stor, cost, re) = evalAll { b =>
-        val (syn, ms) = UniformSampling.build(b.df, b.predCols, b.aggCol,
-          math.ceil(ratio * b.n).toInt, seed)
-        (q => syn.answer(q, Agg.Sum), syn.storageBytes / 1048576.0, ms / 1000.0)
-      }
-      Table2Row(name, lat, stor, cost, re)
-    }
-
-    def deepdbRow(name: String, ratio: Double): Table2Row = {
-      val (lat, stor, cost, re) = evalAll { b =>
-        // cap the training matrix so structure learning stays tractable at bench scale
-        val capRatio = math.min(ratio, 120000.0 / b.n)
-        val (syn, ms) = DeepDbLite.build(b.df, b.predCols, b.aggCol, capRatio, seed)
-        (q => syn.answer(q, Agg.Sum), syn.storageBytes / 1048576.0, ms / 1000.0)
-      }
-      Table2Row(name, lat, stor, cost, re)
-    }
-
-    val rows = Seq(
-      passRow("PASS-BSS1x", 1L),
-      passRow("PASS-BSS2x", 2L),
-      passRow("PASS-BSS10x", 10L),
-      verdictRow("VerdictDB-10%", 0.10),
-      verdictRow("VerdictDB-100%", 1.0),
-      deepdbRow("DeepDB-10%", 0.10),
-      deepdbRow("DeepDB-100%", 1.0),
-    )
+    val rows = Seq[(String, Bundle => (Synopsis, Long))](
+      ("PASS-BSS1x", pass(adpOrKd, b => PassBuilder.TotalBudget(b.k))),
+      ("PASS-BSS2x", pass(adpOrKd, b => PassBuilder.TotalBudget(2L * b.k))),
+      ("PASS-BSS10x", pass(adpOrKd, b => PassBuilder.TotalBudget(10L * b.k))),
+      ("VerdictDB-10%", b => UniformSampling.build(b.df, b.predCols, b.aggCol, share(0.10, b), seed)),
+      ("VerdictDB-100%", b => UniformSampling.build(b.df, b.predCols, b.aggCol, share(1.0, b), seed)),
+      ("DeepDB-10%", b => DeepDbLite.build(b.df, b.predCols, b.aggCol, math.min(share(0.10, b), 120000), seed)),
+      ("DeepDB-100%", b => DeepDbLite.build(b.df, b.predCols, b.aggCol, math.min(share(1.0, b), 120000), seed)),
+    ).map { case (approach, build) => measure(approach, bs, Seq(Agg.Sum))(build) }
 
     val names  = bs.map(_.name)
     val header = f"${"approach"}%-15s ${"latency"}%-18s ${"storage"}%-18s ${"build"}%-16s " +
@@ -222,7 +188,7 @@ object Tables {
     val lines = rows.map { r =>
       val (pLat, pStor, pCost, pRe) = paperTable2(r.approach)
       val cells = names.zipWithIndex.map { case (nm, i) =>
-        f"${r.re(nm) * 100}%.3f%% (${pRe(i)}%.2f%%)"
+        f"${r.re((Agg.Sum, nm)) * 100}%.3f%% (${pRe(i)}%.2f%%)"
       }
       f"${r.approach}%-15s ${f"${r.latencyMs}%.2fms ($pLat%.0fms)"}%-18s " +
         f"${f"${r.storageMB}%.2fMB ($pStor%.1fMB)"}%-18s ${f"${r.buildS}%.1fs ($pCost%.0fs)"}%-16s " +
@@ -236,32 +202,28 @@ object Tables {
 
   // ------------------------------------------------------------------ Table 3
 
-  final case class Table3Row(k: Int, costS: Double, latencyMs: Double,
-                             maxLatencyMs: Double, medianRE: Double)
-
   /** Paper Table 3 reference: k -> (cost s, latency ms, max latency ms, RE %). */
-  val paperTable3: Map[Int, (Double, Double, Double, Double)] = Map(
-    4   -> (16.0, 14.6, 29.2, 0.55),
-    8   -> (18.0, 13.0, 26.0, 0.32),
-    16  -> (20.0, 11.6, 23.3, 0.18),
-    32  -> (22.0, 10.7, 21.4, 0.11),
-    64  -> (25.0, 8.9, 17.8, 0.04),
-    128 -> (50.0, 6.4, 12.9, 0.03),
+  val paperTable3: Map[String, (Double, Double, Double, Double)] = Map(
+    "4"   -> (16.0, 14.6, 29.2, 0.55),
+    "8"   -> (18.0, 13.0, 26.0, 0.32),
+    "16"  -> (20.0, 11.6, 23.3, 0.18),
+    "32"  -> (22.0, 10.7, 21.4, 0.11),
+    "64"  -> (25.0, 8.9, 17.8, 0.04),
+    "128" -> (50.0, 6.4, 12.9, 0.03),
   )
 
-  def table3(spark: SparkSession): (Seq[Table3Row], String) = {
+  /** Rows named by the partition count k; `re` has the one cell (SUM, "NYC"). */
+  def table3(spark: SparkSession): (Seq[Row], String) = {
     val b = bundle1D("NYC", Datasets.nycLite(spark, sf), "pickup_datetime", "trip_distance", nQ)
     val rows = Seq(4, 8, 16, 32, 64, 128).map { k =>
-      val r = PassBuilder.build(b.df, b.predCols, b.aggCol,
-        PassBuilder.Adp1D(k, Agg.Sum), PassBuilder.Rate(sampleRate), seed = seed)
-      val m = Harness.evaluate(r.synopsis.answer, b.gt, b.queries, Agg.Sum)
-      Table3Row(k, r.buildMillis / 1000.0, m.meanLatencyMs, m.maxLatencyMs, m.medianRelErr)
+      measure(k.toString, Seq(b), Seq(Agg.Sum))(
+        pass(_ => PassBuilder.Adp1D(k, Agg.Sum), _ => PassBuilder.Rate(sampleRate)))
     }
     val header = f"${"k"}%-5s ${"cost"}%-18s ${"latency"}%-22s ${"max latency"}%-22s ${"median RE"}%-20s"
     val lines = rows.map { r =>
-      val (pc, pl, pml, pre) = paperTable3(r.k)
-      f"${r.k}%-5d ${f"${r.costS}%.1fs ($pc%.0fs)"}%-18s ${f"${r.latencyMs}%.3fms ($pl%.1fms)"}%-22s " +
-        f"${f"${r.maxLatencyMs}%.3fms ($pml%.1fms)"}%-22s ${f"${r.medianRE * 100}%.3f%% ($pre%.2f%%)"}%-20s"
+      val (pc, pl, pml, pre) = paperTable3(r.approach)
+      f"${r.approach}%-5s ${f"${r.buildS}%.1fs ($pc%.0fs)"}%-18s ${f"${r.latencyMs}%.3fms ($pl%.1fms)"}%-22s " +
+        f"${f"${r.maxLatencyMs}%.3fms ($pml%.1fms)"}%-22s ${f"${r.re((Agg.Sum, b.name)) * 100}%.3f%% ($pre%.2f%%)"}%-20s"
     }
     val text = ("Table 3 — preprocessing cost / latency / accuracy vs k, measured (paper)\n" +
       header + "\n" + lines.mkString("\n"))

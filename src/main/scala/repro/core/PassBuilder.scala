@@ -31,15 +31,17 @@ object PassBuilder {
   /** Which partitioning optimizer shapes the leaves. */
   sealed trait Partitioner extends Product with Serializable
   /** The paper's ADP (sampling + discretization DP) in one dimension. */
-  final case class Adp1D(k: Int, agg: Agg = Agg.Sum, deltaM: Int = 0) extends Partitioner
+  final case class Adp1D(k: Int, agg: Agg = Agg.Sum, deltaM: Int = 0) extends Partitioner { requireLeaves(k) }
   /** Equal-depth strata (the EQ baseline; optimal for COUNT). */
-  final case class EqualDepth1D(k: Int) extends Partitioner
+  final case class EqualDepth1D(k: Int) extends Partitioner { requireLeaves(k) }
   /** Interior cuts chosen from the optimization sample (e.g. AQP++ hill climbing). */
   final case class Cuts1D(choose: SortedSample1D => Array[Double]) extends Partitioner
   /** KD-PASS greedy max-variance expansion for d > 1. */
-  final case class KdGreedy(k: Int, agg: Agg = Agg.Sum) extends Partitioner
+  final case class KdGreedy(k: Int, agg: Agg = Agg.Sum) extends Partitioner { requireLeaves(k) }
   /** Balanced kd expansion (the KD-US baseline's partitioning). */
-  final case class KdBalanced(k: Int) extends Partitioner
+  final case class KdBalanced(k: Int) extends Partitioner { requireLeaves(k) }
+
+  private def requireLeaves(k: Int): Unit = require(k >= 1, s"partition count $k must be at least 1")
 
   /** How many stratified samples each leaf receives; leaf i of N_i rows. */
   sealed trait Allocation extends Product with Serializable

@@ -1,5 +1,16 @@
 package repro.core
 
+/** What every approach of the paper's evaluation (Sec 5) stores and answers
+  * with: PASS, the US, ST and AQP++/KD-US baselines and DeepDB-lite. The
+  * tables score each one through this type alone.
+  */
+trait Synopsis {
+  def answer(q: Rect, agg: Agg): Estimate
+
+  /** Footprint in bytes. */
+  def storageBytes: Long
+}
+
 /** A stored uniform sample, the one sample format of every sampling synopsis
   * (a PASS or ST leaf, the US or AQP++ sample): predicate coordinates
   * (row-major) and aggregate values for each sampled tuple, sorted by the
@@ -39,7 +50,7 @@ final class PassSynopsis(
     val samples: Array[LeafSample],
     val totalRows: Long,
     val zeroVarRule: Boolean = true,
-) extends Serializable {
+) extends Synopsis with Serializable {
   require(tree.leafCount == samples.length, "leaf/sample count mismatch")
 
   // the root and the leaves by leaf id, as node views

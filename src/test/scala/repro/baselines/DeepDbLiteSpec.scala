@@ -3,7 +3,7 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration._
-import repro.SparkSpec
+import repro.{SparkSpec, SparkWork}
 import repro.core.{Agg, Rect}
 import repro.bench.GroundTruth
 import repro.data.Datasets
@@ -100,7 +100,7 @@ class DeepDbLiteSpec extends SparkSpec {
     val df = Datasets.nycLite(spark, sf = 0.002, seed = 9).persist()
     try {
       val gt = GroundTruth.collect(df, Seq("pickup_datetime"), "trip_distance")
-      val (syn, ms) = DeepDbLite.build(df, Seq("pickup_datetime"), "trip_distance", 0.5, seed = 10)
+      val (syn, ms) = DeepDbLite.build(df, Seq("pickup_datetime"), "trip_distance", gt.n / 2, seed = 10)
       assert(ms >= 0 && syn.trainRows > 100)
       val rnd = new scala.util.Random(11)
       val errs = Seq.fill(25) {
@@ -141,18 +141,36 @@ class DeepDbLiteSpec extends SparkSpec {
     import spark.implicits._
     val rows = (Seq.tabulate(500)(i => (Option(i.toDouble), Option(i % 9 * 1.0))) ++
       Seq((Some(Double.NaN), Some(1.0)), (None, Some(1.0)), (Some(7.5), None))).toDF("x", "v")
-    val (syn, _) = endsWithin(DeepDbLite.build(rows, Seq("x"), "v", sampleRatio = 1.0))
+    val (syn, _) = endsWithin(DeepDbLite.build(rows, Seq("x"), "v", trainRows = 1000))
     assert(syn.totalRows == 500 && syn.trainRows == 500)
     assert(math.abs(syn.answer(Rect.range(0, 500), Agg.Count).value - 500) < 1e-6)
   }
 
-  test("DeepDB-lite rejects a NaN aggregate value with a clear error") {
+  test("DeepDB-lite drops a row with a NaN aggregate value") {
     import spark.implicits._
     val rows = (Seq.tabulate(500)(i => (i.toDouble, i % 9 * 1.0)) :+ ((3.5, Double.NaN))).toDF("x", "v")
-    val e = intercept[IllegalArgumentException] {
-      endsWithin(DeepDbLite.build(rows, Seq("x"), "v", sampleRatio = 1.0))
-    }
-    assert(e.getMessage.contains("NaN"))
+    val (syn, _) = endsWithin(DeepDbLite.build(rows, Seq("x"), "v", trainRows = 1000))
+    assert(syn.totalRows == 500 && syn.trainRows == 500)
+    assert(math.abs(syn.answer(Rect.range(0, 500), Agg.Count).value - 500) < 1e-6)
+  }
+
+  test("a DeepDB-lite build is one SQL execution that reads each row once") {
+    val df = Datasets.nycLite(spark, sf = 0.002, seed = 9).persist()
+    try {
+      val n = df.count()
+      val w = SparkWork.of(spark.sparkContext) {
+        val (syn, _) = DeepDbLite.build(df, Seq("pickup_datetime", "pickup_time"), "trip_distance", 300)
+        assert(syn.totalRows == n && syn.trainRows == 300)
+      }
+      w.synchronized {
+        assert(w.executions.length == 1, w.executions.mkString("\n---\n"))
+        assert(w.rowsRead == n, s"read ${w.rowsRead} rows, N = $n")
+      }
+    } finally df.unpersist()
+  }
+
+  test("DeepDB-lite rejects an empty training sample size") {
+    intercept[IllegalArgumentException](DeepDbLite.build(spark.range(10).toDF("x"), Seq("x"), "x", 0))
   }
 
   test("storage accounting is positive and bounded by training size") {

@@ -145,13 +145,20 @@ class GroundTruthSpec extends SparkSpec {
   test("1-D prefix path agrees with an N-D style scan") {
     val scanGt = new GroundTruth(gt1.coords, gt1.values) // same data
     val rnd    = new scala.util.Random(1)
-    for (_ <- 0 until 20) {
+    val random = Seq.fill(20) {
       val a = rnd.nextDouble() * 86400 * 20
-      val q = Rect.range(a, a + rnd.nextDouble() * 86400 * 10)
+      Rect.range(a, a + rnd.nextDouble() * 86400 * 10)
+    }
+    // inverted and NaN-bounded ranges match no row
+    val mid   = 86400.0 * 10
+    val empty = Seq(Rect.range(mid, Double.NaN), Rect.range(Double.NaN, mid), Rect.range(mid, mid - 86400 * 3),
+                    Rect.range(Double.NaN, Double.NaN))
+    for (q <- random ++ empty) {
       val (s, c, _, _) = scanGt.stats(q)
       assert(math.abs(gt1.answer(q, Agg.Sum) - s) < 1e-6 * (1 + s.abs))
       assert(gt1.answer(q, Agg.Count) == c.toDouble)
     }
+    for (q <- empty) assert(gt1.answer(q, Agg.Avg).isNaN, q)
   }
 
   test("1-D ground truth matches Spark and DuckDB") {

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.baselines.{AqpPlusPlus, StratifiedSampling}
 import repro.bench.GroundTruth
 import repro.data.Datasets
 
@@ -312,6 +313,21 @@ class PassBuilderSpec extends SparkSpec {
       for (s <- r2.synopsis.samples; i <- 0 until s.size)
         assert(!s.coords(i).exists(_.isNaN) && !s.values(i).isNaN)
     } finally rows.unpersist()
+  }
+
+  test("a partition count below 1 is rejected with a clear error") {
+    val builds: Seq[(String, () => Any)] = Seq(
+      "Adp1D"        -> (() => PassBuilder.Adp1D(0)),
+      "EqualDepth1D" -> (() => PassBuilder.EqualDepth1D(0)),
+      "KdGreedy"     -> (() => PassBuilder.KdGreedy(0)),
+      "KdBalanced"   -> (() => PassBuilder.KdBalanced(-1)),
+      "ST"           -> (() => StratifiedSampling.build(null, Seq("x"), "v", strata = 0, totalSamples = 10)),
+      "AQP++"        -> (() => AqpPlusPlus.build(null, Seq("x"), "v", partitions = 0, totalSamples = 10)),
+    )
+    for ((name, build) <- builds) {
+      val e = intercept[IllegalArgumentException](build())
+      assert(e.getMessage.contains("partition count"), s"$name: ${e.getMessage}")
+    }
   }
 
   test("empty input is rejected") {
