@@ -4,8 +4,8 @@ import org.apache.spark.sql.DataFrame
 import repro.core.{Agg, Estimate, PassBuilder, Rect, Synopsis}
 
 /** Equi-depth histogram over one column with per-bucket sums, supporting
-  * `P(lo <= x < hi)` and `E[x · 1(lo <= x < hi)]` under a within-bucket
-  * uniform assumption (zero-width buckets are point masses).
+  * `P(lo <= x < hi)` under a within-bucket uniform assumption (zero-width
+  * buckets are point masses) and the column's mean.
   */
 final class Histogram private (
     val edges: Array[Double],  // b+1 edges
@@ -14,7 +14,8 @@ final class Histogram private (
     val rows: Double,
 ) extends Serializable {
 
-  private def overlapFraction(b: Int, lo: Double, hi: Double): Double = {
+  /** The share of bucket `b`'s rows in `[lo, hi)`. */
+  private[baselines] def overlapFraction(b: Int, lo: Double, hi: Double): Double = {
     val bl = edges(b); val bh = edges(b + 1)
     if (bh <= lo || bl >= hi) 0.0
     else if (bl >= bh) { if (bl >= lo && bl < hi) 1.0 else 0.0 } // point mass
@@ -30,14 +31,6 @@ final class Histogram private (
     var b = 0; var c = 0.0
     while (b < counts.length) { c += counts(b) * overlapFraction(b, lo, hi); b += 1 }
     math.min(1.0, c / rows)
-  }
-
-  /** Per-row expected mass E[x · 1(lo <= x < hi)]. */
-  def meanMass(lo: Double, hi: Double): Double = {
-    if (rows == 0) return 0.0
-    var b = 0; var s = 0.0
-    while (b < sums.length) { s += sums(b) * overlapFraction(b, lo, hi); b += 1 }
-    s / rows
   }
 
   /** Unconditional per-row mean. */
@@ -269,8 +262,8 @@ object DeepDbLite {
     val t0   = System.nanoTime()
     val p    = PassBuilder.prepare(df, predCols, aggCol, seed, optSampleSize = 0, uniformSize = trainRows)
     val s    = p.uniform
-    val mat  = Array.tabulate(s.size)(i => s.coords(i) :+ s.values(i))
     val d    = predCols.length
+    val mat  = Array.tabulate(s.size)(i => Array.tabulate(d + 1)(j => if (j < d) s.columns(j)(i) else s.values(i)))
     val root = train(mat, d + 1, seed = seed)
     (new DeepDbLiteSynopsis(root, p.totalRows, mat.length, d), (System.nanoTime() - t0) / 1000000L)
   }

@@ -34,15 +34,6 @@ final class GroundTruth(
       (cs, p1)
     }
 
-  private def lowerBound(c: Double): Int = {
-    var lo = 0; var hi = n
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (sortedC(mid) < c) lo = mid + 1 else hi = mid
-    }
-    lo
-  }
-
   /** Exact (sum, count, min, max) of the aggregate over the predicate. */
   def stats(q: Rect): (Double, Long, Double, Double) = {
     var s = 0.0; var c = 0L
@@ -77,7 +68,8 @@ final class GroundTruth(
   private def compute(q: Rect, agg: Agg): Double = {
     if (dims == 1 && (agg == Agg.Sum || agg == Agg.Count || agg == Agg.Avg)) {
       // an inverted or NaN-bounded range matches no row, as in `stats`
-      val i = lowerBound(q.lo(0)); val j = if (q.lo(0) <= q.hi(0)) lowerBound(q.hi(0)) else i
+      val i = IndexSort.lowerBound(sortedC, q.lo(0))
+      val j = if (q.lo(0) <= q.hi(0)) IndexSort.lowerBound(sortedC, q.hi(0)) else i
       agg match {
         case Agg.Sum   => pre1(j) - pre1(i)
         case Agg.Count => (j - i).toDouble

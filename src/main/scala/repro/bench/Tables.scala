@@ -183,18 +183,19 @@ object Tables {
     ).map { case (approach, build) => measure(approach, bs, Seq(Agg.Sum))(build) }
 
     val names  = bs.map(_.name)
-    val header = f"${"approach"}%-15s ${"latency"}%-18s ${"storage"}%-18s ${"build"}%-16s " +
+    val header = f"${"approach"}%-15s ${"latency (paper)"}%-22s ${"storage"}%-18s ${"build"}%-16s " +
       names.map(s => f"$s%-20s").mkString
     val lines = rows.map { r =>
       val (pLat, pStor, pCost, pRe) = paperTable2(r.approach)
       val cells = names.zipWithIndex.map { case (nm, i) =>
         f"${r.re((Agg.Sum, nm)) * 100}%.3f%% (${pRe(i)}%.2f%%)"
       }
-      f"${r.approach}%-15s ${f"${r.latencyMs}%.2fms ($pLat%.0fms)"}%-18s " +
+      f"${r.approach}%-15s ${f"${r.latencyMs * 1000}%.2fus ($pLat%.0fms)"}%-22s " +
         f"${f"${r.storageMB}%.2fMB ($pStor%.1fMB)"}%-18s ${f"${r.buildS}%.1fs ($pCost%.0fs)"}%-16s " +
         cells.map(s => f"$s%-20s").mkString
     }
-    val text = ("Table 2 — end-to-end comparison, measured (paper)\n" + header + "\n" +
+    val text = ("Table 2 — end-to-end comparison, measured (paper);\n" +
+      "latency measured in us, the paper's in ms\n" + header + "\n" +
       lines.mkString("\n"))
     bs.foreach(_.df.unpersist())
     (rows, text)
@@ -219,13 +220,15 @@ object Tables {
       measure(k.toString, Seq(b), Seq(Agg.Sum))(
         pass(_ => PassBuilder.Adp1D(k, Agg.Sum), _ => PassBuilder.Rate(sampleRate)))
     }
-    val header = f"${"k"}%-5s ${"cost"}%-18s ${"latency"}%-22s ${"max latency"}%-22s ${"median RE"}%-20s"
+    val header = f"${"k"}%-5s ${"cost"}%-18s ${"latency (paper)"}%-22s ${"max latency (paper)"}%-22s " +
+      f"${"median RE"}%-20s"
     val lines = rows.map { r =>
       val (pc, pl, pml, pre) = paperTable3(r.approach)
-      f"${r.approach}%-5s ${f"${r.buildS}%.1fs ($pc%.0fs)"}%-18s ${f"${r.latencyMs}%.3fms ($pl%.1fms)"}%-22s " +
-        f"${f"${r.maxLatencyMs}%.3fms ($pml%.1fms)"}%-22s ${f"${r.re((Agg.Sum, b.name)) * 100}%.3f%% ($pre%.2f%%)"}%-20s"
+      f"${r.approach}%-5s ${f"${r.buildS}%.1fs ($pc%.0fs)"}%-18s ${f"${r.latencyMs * 1000}%.2fus ($pl%.1fms)"}%-22s " +
+        f"${f"${r.maxLatencyMs * 1000}%.1fus ($pml%.1fms)"}%-22s ${f"${r.re((Agg.Sum, b.name)) * 100}%.3f%% ($pre%.2f%%)"}%-20s"
     }
-    val text = ("Table 3 — preprocessing cost / latency / accuracy vs k, measured (paper)\n" +
+    val text = ("Table 3 — preprocessing cost / latency / accuracy vs k, measured (paper);\n" +
+      "latency measured in us, the paper's in ms\n" +
       header + "\n" + lines.mkString("\n"))
     b.df.unpersist()
     (rows, text)

@@ -24,13 +24,23 @@ final case class Rect(lo: Array[Double], hi: Array[Double]) {
   def dims: Int = lo.length
 
   /** Point membership test; a NaN coordinate lies in no rectangle. */
-  def contains(x: Array[Double]): Boolean = containsFrom(x, 0)
-
-  /** Membership in dimensions `from` .. `dims - 1` only. */
-  def containsFrom(x: Array[Double], from: Int): Boolean = {
-    var i = from
+  def contains(x: Array[Double]): Boolean = {
+    var i = 0
     while (i < lo.length) {
       if (!(x(i) >= lo(i) && x(i) < hi(i))) return false
+      i += 1
+    }
+    true
+  }
+
+  /** Membership of row `row` of the coordinate columns `cols`
+    * (`cols(j)(row)` in dimension j), in dimensions `from` .. `dims - 1` only.
+    */
+  def containsFrom(cols: Array[Array[Double]], row: Int, from: Int): Boolean = {
+    var i = from
+    while (i < lo.length) {
+      val x = cols(i)(row)
+      if (!(x >= lo(i) && x < hi(i))) return false
       i += 1
     }
     true

@@ -5,7 +5,8 @@ package repro.core
   * last. That is the order of Scala's default `Ordering[Double]`, so
   * `sortBy(idx)(key)` returns exactly `idx.sortBy(key)`, without boxing an
   * index or a key. A merge sort over the keys and indices in two parallel
-  * primitive arrays.
+  * primitive arrays. `lowerBound` is the one binary search over such a
+  * sorted key column.
   */
 object IndexSort {
 
@@ -18,6 +19,19 @@ object IndexSort {
     val out = idx.clone()
     if (n > 1) mergeSort(keys.clone(), idx.clone(), keys, out, 0, n)
     out
+  }
+
+  /** The first index of `sorted` (in this order, NaN last) whose key is not
+    * below `c`, or `sorted.length` if none. A NaN key counts as not below, so
+    * a NaN `c` gives 0.
+    */
+  def lowerBound(sorted: Array[Double], c: Double): Int = {
+    var lo = 0; var hi = sorted.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (sorted(mid) < c) lo = mid + 1 else hi = mid
+    }
+    lo
   }
 
   private val InsertionMax = 16

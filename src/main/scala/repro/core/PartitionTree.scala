@@ -159,12 +159,15 @@ final class FlatTree private (
     true
   }
 
-  /** Point `x` lies in node `i` (as `Rect.contains`: a NaN lies in none). */
-  def contains(i: Int, x: Array[Double]): Boolean = {
+  /** Row `row` of the coordinate columns `cols` lies in node `i` (as
+    * `Rect.contains`: a NaN lies in none).
+    */
+  def contains(i: Int, cols: Array[Array[Double]], row: Int): Boolean = {
     val b = i * dims
     var j = 0
     while (j < dims) {
-      if (!(x(j) >= lo(b + j) && x(j) < hi(b + j))) return false
+      val x = cols(j)(row)
+      if (!(x >= lo(b + j) && x < hi(b + j))) return false
       j += 1
     }
     true
@@ -255,10 +258,10 @@ final class Frontier {
 
   private def nodesOf(ix: Array[Int], n: Int): IndexedSeq[TreeNode] = (0 until n).map(j => TreeNode(tree, ix(j)))
 
-  /** Point `x` lies in a covered node. */
-  def inCover(x: Array[Double]): Boolean = {
+  /** Row `row` of the coordinate columns `cols` lies in a covered node. */
+  def inCover(cols: Array[Array[Double]], row: Int): Boolean = {
     var j = 0
-    while (j < nCover && !tree.contains(coverIx(j), x)) j += 1
+    while (j < nCover && !tree.contains(coverIx(j), cols, row)) j += 1
     j < nCover
   }
 }

@@ -46,10 +46,10 @@ final class PriorityReservoir(val k: Int, val rate: Double, val d: Int) extends 
     (order.map(i => java.util.Arrays.copyOfRange(coords, i * d, i * d + d)), order.map(vals))
   }
 
-  /** The kept rows as a stored sample. */
+  /** The kept rows, in priority order, as a stored sample. */
   def toSample: LeafSample = {
-    val (xs, vs) = smallest()
-    LeafSample(xs, vs)
+    val order = IndexSort.sortBy(Array.range(0, n))(prio(_))
+    LeafSample(Array.tabulate(d)(j => order.map(i => coords(i * d + j))), order.map(vals))
   }
 
   private def push(p: Double, x: Array[Double], off: Int, v: Double): Unit = {
@@ -178,12 +178,13 @@ final class TableStats(d: Int, optSize: Int, uniformSize: Int, seed: Long, parti
 final class LeafStats(@transient private val tree: FlatTree, perLeaf: Int, rate: Double, seed: Long,
                       partition: Int)
     extends RowSink[LeafStats] {
+  private val d = tree.dims // `tree` does not come back from a task
   val count   = new Array[Long](tree.leafCount)
   val sum     = new Array[Double](tree.leafCount)
   val min     = Array.fill(tree.leafCount)(Double.PositiveInfinity)
   val max     = Array.fill(tree.leafCount)(Double.NegativeInfinity)
   val samples =
-    if (perLeaf > 0 || rate > 0) Array.fill(tree.leafCount)(new PriorityReservoir(perLeaf, rate, tree.dims))
+    if (perLeaf > 0 || rate > 0) Array.fill(tree.leafCount)(new PriorityReservoir(perLeaf, rate, d))
     else Array.empty[PriorityReservoir]
   @transient private val priority = PriorityReservoir.priorities(seed, 2, partition)
 
@@ -208,5 +209,5 @@ final class LeafStats(@transient private val tree: FlatTree, perLeaf: Int, rate:
   }
 
   /** Leaf `id`'s stored sample. */
-  def sample(id: Int): LeafSample = if (samples.isEmpty) LeafSample.empty else samples(id).toSample
+  def sample(id: Int): LeafSample = if (samples.isEmpty) LeafSample.empty(d) else samples(id).toSample
 }

@@ -9,50 +9,51 @@ final case class Moments(ki: Int, kMatch: Int, sum: Double, sumSq: Double, min: 
 object Moments {
   /** The one scan of a sample, sorted by dimension 0, for aggregate `agg`:
     * its rows inside `[q.lo(0), q.hi(0))` form one run, found by binary
-    * search; inside the run only dimensions 1 .. d−1 are checked (none in
-    * 1-D), and rows inside a covered node of `exclude` (AQP++'s gap; null:
-    * none) are dropped. `ki` is still the whole sample's size. Each aggregate
-    * gets the fields it reads, summed in row order as the full loop sums them:
-    * with nothing to check (1-D, no exclusion), COUNT reads no row (`kMatch` is
-    * the run's length) and SUM/AVG only the values (no extrema); MIN/MAX,
-    * d > 1 and exclusion run the full loop.
+    * search in `columns(0)`; inside the run only dimensions 1 .. d−1 are
+    * checked (none in 1-D), and rows inside a covered node of `exclude`
+    * (AQP++'s gap; null: none) are dropped. `ki` is still the whole sample's
+    * size. Each aggregate gets the fields it reads. With nothing to check
+    * (1-D, no exclusion), COUNT reads no row (`kMatch` is the run's length)
+    * and SUM/AVG read the sample's prefix sums at the run's two ends, in
+    * O(log K) for K rows (no extrema; a run of under `ShortRun` rows is
+    * summed). MIN/MAX, d > 1 and exclusion run the full loop, summing in row
+    * order.
     */
   def scan(s: LeafSample, q: Rect, agg: Agg, exclude: Frontier = null): Moments = {
-    val c     = s.coords
-    val from  = lowerBound(c, q.lo(0))
-    val until = if (q.lo(0) <= q.hi(0)) lowerBound(c, q.hi(0)) else from // NaN bound: no run
+    val c0    = s.columns(0)
+    val from  = IndexSort.lowerBound(c0, q.lo(0))
+    val until = if (q.lo(0) <= q.hi(0)) IndexSort.lowerBound(c0, q.hi(0)) else from // NaN bound: no run
     val ex    = if (exclude != null && exclude.nCover > 0) exclude else null
     val check = q.dims > 1 || ex != null
-    if (check || agg == Agg.Min || agg == Agg.Max) accumulate(c, s.values, from, until, q, ex, check)
+    if (check || agg == Agg.Min || agg == Agg.Max) accumulate(s, from, until, q, ex, check)
     else if (agg == Agg.Count) Moments(s.size, until - from, 0.0, 0.0, Double.PositiveInfinity, Double.NegativeInfinity)
+    else if (until - from >= ShortRun && s.hasPrefixSums)
+      Moments(s.size, until - from, s.runSum(from, until), s.runSumSq(from, until), Double.PositiveInfinity,
+              Double.NegativeInfinity)
     else sums(s.values, from, until)
   }
 
-  /** The first row of a dimension-0-sorted sample not below `c` (NaN rows,
-    * sorted last, count as not below).
+  /** A 1-D run of fewer rows is summed row by row: its error is then below
+    * 4ε·Σ|a| even where the prefixes around it are far larger than its sum
+    * (a prefix difference errs by up to ε² times the prefixes' magnitude).
     */
-  private def lowerBound(coords: Array[Array[Double]], c: Double): Int = {
-    var lo = 0; var hi = coords.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (coords(mid)(0) < c) lo = mid + 1 else hi = mid
-    }
-    lo
-  }
+  private final val ShortRun = 8
 
   /** The full loop: rows `from until until` that, when `check` is set, lie
     * in `q` from dimension 1 on and in no covered node of `exclude`.
     */
-  private def accumulate(coords: Array[Array[Double]], values: Array[Double], from: Int, until: Int,
-                         q: Rect, exclude: Frontier, check: Boolean): Moments = {
-    var i  = from
-    var k  = 0
-    var s1 = 0.0
-    var s2 = 0.0
-    var mn = Double.PositiveInfinity
-    var mx = Double.NegativeInfinity
+  private def accumulate(s: LeafSample, from: Int, until: Int, q: Rect, exclude: Frontier,
+                         check: Boolean): Moments = {
+    val cols   = s.columns
+    val values = s.values
+    var i      = from
+    var k      = 0
+    var s1     = 0.0
+    var s2     = 0.0
+    var mn     = Double.PositiveInfinity
+    var mx     = Double.NegativeInfinity
     while (i < until) {
-      if (!check || (q.containsFrom(coords(i), 1) && (exclude == null || !exclude.inCover(coords(i))))) {
+      if (!check || (q.containsFrom(cols, i, 1) && (exclude == null || !exclude.inCover(cols, i)))) {
         val a = values(i)
         k += 1; s1 += a; s2 += a * a
         if (a < mn) mn = a
@@ -63,7 +64,9 @@ object Moments {
     Moments(values.length, k, s1, s2, mn, mx)
   }
 
-  /** SUM/AVG over a 1-D run: every row matches; no extrema. */
+  /** SUM/AVG over a short 1-D run, or one of a sample without prefix sums,
+    * in row order: every row matches; no extrema.
+    */
   private def sums(values: Array[Double], from: Int, until: Int): Moments = {
     var i  = from
     var s1 = 0.0

@@ -12,28 +12,115 @@ trait Synopsis {
 }
 
 /** A stored uniform sample, the one sample format of every sampling synopsis
-  * (a PASS or ST leaf, the US or AQP++ sample): predicate coordinates
-  * (row-major) and aggregate values for each sampled tuple, sorted by the
-  * dimension-0 coordinate (NaN last). The rows of a query's dimension-0 range
-  * are then one run, which `Moments.scan` finds by binary search. Only the
-  * factory, which sorts, builds one.
+  * (a PASS or ST leaf, the US or AQP++ sample): one primitive column of
+  * predicate coordinates per dimension and one of aggregate values, a row per
+  * sampled tuple, sorted by the dimension-0 coordinate (NaN last). The rows of
+  * a query's dimension-0 range are then one run, which `Moments.scan` finds by
+  * binary search in `columns(0)`. Only the factory, which sorts, builds one.
+  *
+  * Each sample also derives prefix sums of its values and squared values in
+  * row order, so a run's Σ a and Σ a² are each two reads (`runSum`,
+  * `runSumSq`). Every prefix is a double-double `hi + lo` kept normalized by
+  * error-free two-sums (Knuth's TwoSum, as in Neumaier's compensated sum), so
+  * a difference of two prefixes errs by about ε times the run's own Σ|a|, not
+  * ε times the prefixes around it (see `prefixSums` for the ε² term that
+  * remains). The prefixes are `@transient` and derived again on
+  * deserialization: they are never stored bytes. A sample whose sums
+  * overflow (a value, square or running sum beyond ±Double.MaxValue) has
+  * none, and is summed row by row.
   */
-final class LeafSample private (val coords: Array[Array[Double]], val values: Array[Double])
+final class LeafSample private (val columns: Array[Array[Double]], val values: Array[Double])
     extends Serializable {
   def size: Int = values.length
+  def dims: Int = columns.length
 
-  /** Footprint in bytes: d coordinates and one value per sampled tuple. */
-  def storageBytes: Long = size.toLong * (coords.headOption.fold(0)(_.length) + 1L) * 8L
-}
-object LeafSample {
-  /** The sample of the given rows, stably reordered by dimension 0. */
-  def apply(coords: Array[Array[Double]], values: Array[Double]): LeafSample = {
-    require(coords.length == values.length, "coords/values length mismatch")
-    val order = IndexSort.sortBy(Array.range(0, values.length))(coords(_)(0))
-    new LeafSample(order.map(coords), order.map(values))
+  // Σ a and Σ a² over rows [0, i) at prefix(4i) .. prefix(4i + 3), as (hi, lo)
+  // pairs, adjacent so that the four reads at one run end share cache lines.
+  // Null if a sum is not finite.
+  @transient private var prefix = LeafSample.prefixSums(values)
+
+  private def readObject(in: java.io.ObjectInputStream): Unit = {
+    in.defaultReadObject()
+    prefix = LeafSample.prefixSums(values)
   }
 
-  val empty: LeafSample = LeafSample(Array.empty, Array.empty)
+  /** The sample has prefix sums: `runSum` and `runSumSq` may be called. */
+  def hasPrefixSums: Boolean = prefix != null
+
+  /** Σ a over rows `[from, until)`, within about 2ε·Σ|a| of the exact sum. */
+  def runSum(from: Int, until: Int): Double = {
+    val p = prefix
+    (p(4 * until) - p(4 * from)) + (p(4 * until + 1) - p(4 * from + 1))
+  }
+
+  /** Σ a² over rows `[from, until)`, within about 2ε·Σ a² of the exact sum. */
+  def runSumSq(from: Int, until: Int): Double = {
+    val p = prefix
+    (p(4 * until + 2) - p(4 * from + 2)) + (p(4 * until + 3) - p(4 * from + 3))
+  }
+
+  /** The rows' coordinates, one array per row, copied on each call. No answer
+    * path reads it.
+    */
+  def coords: Array[Array[Double]] = Array.tabulate(size)(i => Array.tabulate(dims)(columns(_)(i)))
+
+  /** Footprint in bytes: d coordinates and one value per sampled tuple. */
+  def storageBytes: Long = size.toLong * (dims + 1L) * 8L
+}
+object LeafSample {
+  /** The sample of the rows with coordinates `columns(j)(i)` and values
+    * `values(i)`, stably reordered by dimension 0.
+    */
+  def apply(columns: Array[Array[Double]], values: Array[Double]): LeafSample = {
+    require(columns.nonEmpty, "a sample has at least one dimension")
+    require(columns.forall(_.length == values.length), "column/values length mismatch")
+    val c0    = columns(0)
+    val order = IndexSort.sortBy(Array.range(0, values.length))(c0(_))
+    new LeafSample(columns.map(permute(_, order)), permute(values, order))
+  }
+
+  /** The sample of no rows in `d` dimensions. */
+  def empty(d: Int): LeafSample = LeafSample(Array.fill(d)(Array.emptyDoubleArray), Array.emptyDoubleArray)
+
+  private def permute(xs: Array[Double], order: Array[Int]): Array[Double] = {
+    val out = new Array[Double](order.length)
+    var i   = 0
+    while (i < order.length) { out(i) = xs(order(i)); i += 1 }
+    out
+  }
+
+  /** The interleaved prefix sums of `LeafSample.prefix`, or null if one is
+    * not finite. Each step adds one term to a normalized double-double
+    * (hi, lo): TwoSum(hi, x) is exact, its error joins lo, and a second TwoSum
+    * renormalizes. Only the add into lo rounds, by at most ε²·|hi|, so a run's
+    * sum errs by about ε times its own Σ|x|, plus ε² times the prefixes'
+    * magnitude per row of the run.
+    */
+  private def prefixSums(values: Array[Double]): Array[Double] = {
+    val p = new Array[Double](4 * (values.length + 1))
+    var i = 0
+    while (i < values.length) {
+      val a = values(i)
+      val b = 4 * i
+      twoSumInto(p, b, a)
+      twoSumInto(p, b + 2, a * a)
+      i += 1
+    }
+    val last = 4 * values.length // a non-finite sum stays non-finite to the end
+    if ((0 until 4).forall(j => java.lang.Double.isFinite(p(last + j)))) p else null
+  }
+
+  /** Writes (hi, lo) + x, from `p(b)`, `p(b + 1)`, to `p(b + 4)`, `p(b + 5)`. */
+  private def twoSumInto(p: Array[Double], b: Int, x: Double): Unit = {
+    val hi = p(b); val lo = p(b + 1)
+    val s  = hi + x
+    val z  = s - hi
+    val t  = lo + ((hi - (s - z)) + (x - z)) // lo + the exact error of hi + x
+    val h  = s + t
+    val w  = h - s
+    p(b + 4) = h
+    p(b + 5) = (s - (h - w)) + (t - w)
+  }
 }
 
 /** The PASS synopsis (Fig 2): a partition tree annotated with exact partition

@@ -26,16 +26,6 @@ final class SortedSample1D private (val cs: Array[Double], val as: Array[Double]
   /** Σ a² over `[i, j)`. */
   def s2(i: Int, j: Int): Double = pre2(j) - pre2(i)
 
-  /** First index with `cs(idx) >= c` (n if none). */
-  def lowerBound(c: Double): Int = {
-    var lo = 0; var hi = n
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (cs(mid) < c) lo = mid + 1 else hi = mid
-    }
-    lo
-  }
-
   /** Single-partition variance of a SUM query `[q1,q2)` inside partition of
     * `ni` samples: `Σ t² − (Σ t)²/n_i` (Sec 4.2.1 with the constant
     * `(N_i/n_i)²` scale dropped — it cancels in comparisons under the
@@ -78,13 +68,6 @@ object SortedSample1D {
     require(cs.length == as.length, "column length mismatch")
     val idx = IndexSort.sortBy(Array.range(0, cs.length))(cs(_))
     new SortedSample1D(idx.map(cs), idx.map(as))
-  }
-
-  /** Builds the view assuming the input is already sorted by c. */
-  def presorted(cs: Array[Double], as: Array[Double]): SortedSample1D = {
-    var i = 1
-    while (i < cs.length) { require(cs(i - 1) <= cs(i), "input not sorted"); i += 1 }
-    new SortedSample1D(cs, as)
   }
 }
 

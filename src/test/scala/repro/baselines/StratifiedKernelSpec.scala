@@ -32,7 +32,7 @@ class StratifiedKernelSpec extends AnyFunSuite {
   }
 
   test("US whose sample is the whole table is exact, with zero SUM/COUNT CI") {
-    val us = new UniformSampleSynopsis(LeafSample(cs.map(Array(_)), as), n)
+    val us = new UniformSampleSynopsis(LeafSample(Array(cs), as), n)
     for (q <- queries(1, 40, 60); agg <- estimable) {
       val (sum, count, _, _) = TestSynopses.exactStats(cs, as, q)
       val truth = agg match {
@@ -79,7 +79,7 @@ class StratifiedKernelSpec extends AnyFunSuite {
     val tree = TestSynopses.build1D(cs, as, Array(20.0, 40.0, 60.0, 80.0), samplesPerLeaf = 1).tree
     val rnd  = new scala.util.Random(6)
     val pick = rnd.shuffle(cs.indices.toVector).take(200).toArray
-    val sample = LeafSample(pick.map(i => Array(cs(i))), pick.map(as))
+    val sample = LeafSample(Array(pick.map(cs)), pick.map(as))
     val aqp    = new PrecompUniformSynopsis(tree, sample, n)
     val us     = new UniformSampleSynopsis(sample, n)
     val qs  = queries(7, 60, 15).filter(coversNothing(tree, _))
@@ -93,7 +93,7 @@ class StratifiedKernelSpec extends AnyFunSuite {
 
   test("AQP++ MIN/MAX with no covered row and no matching sampled row is NaN, as US") {
     val tree   = TestSynopses.build1D(cs, as, Array(20.0, 40.0, 60.0, 80.0), samplesPerLeaf = 1).tree
-    val sample = LeafSample(Array(Array(10.0), Array(70.0)), Array(1.0, 2.0))
+    val sample = LeafSample(Array(Array(10.0, 70.0)), Array(1.0, 2.0))
     val aqp    = new PrecompUniformSynopsis(tree, sample, n)
     val us     = new UniformSampleSynopsis(sample, n)
     // inside leaf [20, 40) but away from both sampled rows, and outside the data

@@ -96,7 +96,7 @@ class UniformStratifiedSpec extends SparkSpec {
       .toDF("x", "v")
     val (us, _) = UniformSampling.build(rows, Seq("x"), "v", k = 1000)
     assert(us.k == 500 && us.totalRows == 500)
-    assert(!us.sample.values.exists(_.isNaN) && !us.sample.coords.exists(_(0).isNaN))
+    assert(!us.sample.values.exists(_.isNaN) && !us.sample.columns(0).exists(_.isNaN))
     val (aqp, _) = AqpPlusPlus.build(rows, Seq("x"), "v", partitions = 4, totalSamples = 100)
     assert(aqp.totalRows == 500 && aqp.tree.root.count == 500 && aqp.sample.size == 100)
   }

@@ -56,7 +56,7 @@ class BuildScanSpec extends SparkSpec {
     "min" -> bits(t.min), "max" -> bits(t.max))
 
   private def sampleParts(name: String, s: LeafSample): Seq[(String, Seq[Long])] =
-    Seq(s"$name.values" -> bits(s.values), s"$name.coords" -> s.coords.toSeq.flatMap(bits))
+    Seq(s"$name.values" -> bits(s.values), s"$name.columns" -> s.columns.toSeq.flatMap(bits))
 
   /** The names of the parts where `a` and `b` differ; an empty list means bit-equal. */
   private def differing(a: Seq[(String, Seq[Long])], b: Seq[(String, Seq[Long])]): Seq[String] = {

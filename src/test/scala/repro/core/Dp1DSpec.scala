@@ -152,7 +152,7 @@ class Dp1DSpec extends AnyFunSuite {
     val rnd = new scala.util.Random(11)
     val cs  = Array.tabulate(n)(_.toDouble)
     val as  = Array.tabulate(n)(i => if (i < 160) 0.0 else 500.0 + rnd.nextGaussian() * 100)
-    val s   = SortedSample1D.presorted(cs, as)
+    val s   = Presorted(cs, as)
     val k   = 8
     val adpV = trueValue(s, Dp1D.adp(s, k, Agg.Sum).sampleBounds, Agg.Sum, 1)
     val eqV  = trueValue(s, Dp1D.equalDepth(s, k).sampleBounds, Agg.Sum, 1)

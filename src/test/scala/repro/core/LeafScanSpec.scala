@@ -5,9 +5,11 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSupport
 import repro.bench.GroundTruth
 
-/** The sorted leaf sample and its one scan (`Moments.scan`): the dim-0 run
-  * scan against a brute-force scan of the same rows, NaN coordinates,
-  * excluded rectangles, and the fields each aggregate reads.
+/** The sorted columnar leaf sample and its one scan (`Moments.scan`): the
+  * dim-0 run scan against a brute-force scan of the same rows, NaN
+  * coordinates, excluded rectangles, the fields each aggregate reads, the
+  * prefix sums of 1-D SUM/AVG runs against exact sums, and the sample's
+  * serialized size.
   */
 class LeafScanSpec extends AnyFunSuite with PropSupport {
 
@@ -18,10 +20,13 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
     (coords, values)
   }
 
+  /** Row `i`'s coordinates. */
+  private def row(s: LeafSample, i: Int): Array[Double] = Array.tabulate(s.dims)(s.columns(_)(i))
+
   /** The reference: every row checked in every dimension, in stored order. */
   private def bruteForce(s: LeafSample, q: Rect): Moments = {
     val in = (0 until s.size).filter { i =>
-      val x = s.coords(i)
+      val x = row(s, i)
       (0 until q.dims).forall(j => x(j) >= q.lo(j) && x(j) < q.hi(j))
     }.map(s.values)
     Moments(s.size, in.length, in.foldLeft(0.0)(_ + _), in.foldLeft(0.0)((t, a) => t + a * a),
@@ -30,7 +35,7 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
 
   /** A probe bound: a sample coordinate itself, a grid point, ±∞, NaN, or a real. */
   private def bound(rnd: scala.util.Random, s: LeafSample, j: Int): Double = rnd.nextInt(12) match {
-    case 0 | 1 | 2 if s.size > 0 => s.coords(rnd.nextInt(s.size))(j)
+    case 0 | 1 | 2 if s.size > 0 => s.columns(j)(rnd.nextInt(s.size))
     case 3                       => Double.NegativeInfinity
     case 4                       => Double.PositiveInfinity
     case 5                       => Double.NaN
@@ -53,12 +58,13 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
     for (d <- 1 to 3; n <- Seq(0, 1, 2, 50, 300)) {
       val (coords, _) = rows(rnd, n, d)
       val ids         = Array.tabulate(n)(_.toDouble) // value i marks input row i
-      val s           = LeafSample(coords, ids)
-      assert(s.size == n)
+      val s           = TestSynopses.sample(coords, ids, d)
+      assert(s.size == n && s.dims == d && s.columns.forall(_.length == n))
       assert(s.values.map(_.toInt).sorted.sameElements(0 until n), s"d=$d n=$n: not a permutation")
-      for (i <- 0 until n) assert(s.coords(i) eq coords(s.values(i).toInt), s"d=$d n=$n row $i")
+      for (i <- 0 until n) assert(row(s, i).sameElements(coords(s.values(i).toInt)), s"d=$d n=$n row $i")
+      assert(s.coords.map(_.toSeq).toSeq == (0 until n).map(row(s, _).toSeq), s"d=$d n=$n: row view")
       for (i <- 1 until n) {
-        val (a, b) = (s.coords(i - 1)(0), s.coords(i)(0))
+        val (a, b) = (s.columns(0)(i - 1), s.columns(0)(i))
         assert(a < b || (a == b && s.values(i - 1) < s.values(i)), s"d=$d n=$n rows ${i - 1},$i: not stably sorted")
       }
     }
@@ -73,7 +79,7 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
     checkProp(Prop.forAll(gen) { case (d, n, seed) =>
       val rnd         = new scala.util.Random(seed)
       val (cs, vs)    = rows(rnd, n, d)
-      val s           = LeafSample(cs, vs)
+      val s           = TestSynopses.sample(cs, vs, d)
       (0 until 40).forall { _ =>
         val q = probe(rnd, s, d)
         val (got, want) = (Moments.scan(s, q, Agg.Min), bruteForce(s, q))
@@ -93,7 +99,7 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
       val rnd      = new scala.util.Random(d * 10 + nanDim)
       val (cs, vs) = rows(rnd, 60, d)
       for (i <- 0 until 60 by 4) { cs(i)(nanDim) = Double.NaN; vs(i) = big }
-      val s = LeafSample(cs, vs)
+      val s = TestSynopses.sample(cs, vs, d)
       val probes = probes1.map(p => Rect(Array.fill(d)(p.lo(0)), Array.fill(d)(p.hi(0))))
       for (q <- probes) {
         val (m, want) = (Moments.scan(s, q, Agg.Max), bruteForce(s, q))
@@ -112,26 +118,27 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
     val rnd      = new scala.util.Random(5)
     val (cs, vs) = rows(rnd, 200, 2)
     val q        = Rect(Array(-1.0, 0.0), Array(7.0, 6.0))
-    val s        = LeafSample(cs, vs)
+    val s        = TestSynopses.sample(cs, vs, 2)
     // the holes are the nodes of a kd tree that a second query covers
     val skeleton = KdTree.buildBalanced(cs, vs, k = 16, Rect(Array(-3.0, -3.0), Array(9.0, 9.0)))
     val (tree, _) = TestSynopses.populate(skeleton, cs, vs)
     val holes    = PartitionTree.mcf(tree.root, Rect(Array(-3.0, 1.0), Array(6.0, 9.0)))
     val m        = Moments.scan(s, q, Agg.Sum, exclude = holes)
-    val kept     = (0 until s.size).filter(i => q.contains(s.coords(i)) && !holes.cover.exists(_.bounds.contains(s.coords(i))))
-    assert(holes.cover.nonEmpty && kept.size < (0 until s.size).count(i => q.contains(s.coords(i))))
+    val kept     = (0 until s.size).filter(i => q.contains(row(s, i)) && !holes.cover.exists(_.bounds.contains(row(s, i))))
+    assert(holes.cover.nonEmpty && kept.size < (0 until s.size).count(i => q.contains(row(s, i))))
     assert(m.ki == 200 && m.kMatch == kept.size && kept.size > 0)
     assert(m.sum == kept.map(s.values).foldLeft(0.0)(_ + _))
   }
 
-  /** The full accumulation of the rows in `q` and in no covered node of `ex`,
-    * in stored order: the reference for every field.
+  /** The oracle: the row-order loop that every scan ran before 1-D runs
+    * read prefix sums. It accumulates the rows in `q` and in no covered node
+    * of `ex`, in stored order, and is the reference for every field.
     */
   private def fullScan(s: LeafSample, q: Rect, ex: Frontier): (Int, Double, Double, Double, Double) = {
     var k = 0; var s1 = 0.0; var s2 = 0.0
     var mn = Double.PositiveInfinity; var mx = Double.NegativeInfinity
     for (i <- 0 until s.size) {
-      val x = s.coords(i)
+      val x = row(s, i)
       if (q.contains(x) && (ex == null || !ex.cover.exists(_.bounds.contains(x)))) {
         val a = s.values(i)
         k += 1; s1 += a; s2 += a * a
@@ -142,6 +149,31 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
     (k, s1, s2, mn, mx)
   }
 
+  private val Eps = Math.ulp(1.0)
+
+  /** The exact Σ a and Σ a² of the rows of `s` in `q`. */
+  private def exactSums(s: LeafSample, q: Rect): (java.math.BigDecimal, java.math.BigDecimal) = {
+    var s1 = java.math.BigDecimal.ZERO; var s2 = java.math.BigDecimal.ZERO
+    for (i <- 0 until s.size if q.contains(row(s, i))) {
+      val a = new java.math.BigDecimal(s.values(i))
+      s1 = s1.add(a); s2 = s2.add(a.multiply(a))
+    }
+    (s1, s2)
+  }
+
+  /** Why the scan's Σ a or Σ a² of the rows of `s` in `q` is more than
+    * 4ε·Σ|a| (resp. 4ε·Σ a²) from the exact sum, if it is.
+    */
+  private def sumsFault(s: LeafSample, q: Rect, m: Moments): Option[String] = {
+    val (s1, s2) = exactSums(s, q)
+    val absSum   = (0 until s.size).filter(i => q.contains(row(s, i))).map(i => math.abs(s.values(i))).sum
+    def err(got: Double, exact: java.math.BigDecimal) = new java.math.BigDecimal(got).subtract(exact).abs.doubleValue
+    val (e1, e2) = (err(m.sum, s1), err(m.sumSq, s2))
+    // the bounds carry a 1.01 for the rounding of Σ|a| and Σ a² themselves
+    if (e1 <= 4.04 * Eps * absSum && e2 <= 4.04 * Eps * s2.doubleValue) None
+    else Some(s"q=$q: sum ${m.sum} errs $e1 on Σ|a| $absSum, sumSq ${m.sumSq} errs $e2 on ${s2.doubleValue}")
+  }
+
   for (d <- Seq(1, 3); excluded <- Seq(false, true)) {
     test(s"each aggregate's scan returns the fields it reads bit for bit (d=$d exclusion=$excluded)") {
       import java.lang.Double.doubleToLongBits
@@ -150,7 +182,7 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
       var excludedRows = 0
       for (_ <- 0 until 30) {
         val (cs, vs) = rows(rnd, rnd.nextInt(150), d)
-        val s        = LeafSample(cs, vs)
+        val s        = TestSynopses.sample(cs, vs, d)
         val ex =
           if (!excluded || s.size == 0) null
           else {
@@ -163,12 +195,16 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
         for (_ <- 0 until 20) {
           val q                  = probe(rnd, s, d)
           val (k, s1, s2, mn, mx) = fullScan(s, q, ex)
-          if (ex != null) excludedRows += (0 until s.size).count(i => q.contains(s.coords(i))) - k
+          if (ex != null) excludedRows += (0 until s.size).count(i => q.contains(row(s, i))) - k
           for (agg <- Agg.all) {
             val m = Moments.scan(s, q, agg, ex)
             val what = s"$agg q=$q: $m vs ($k, $s1, $s2, $mn, $mx)"
             assert(m.ki == s.size && m.kMatch == k, what)
-            if (agg != Agg.Count)
+            // a 1-D SUM/AVG run with nothing excluded reads the prefix sums:
+            // not the loop's bits, but within 4ε·Σ|a| of the exact sums
+            val prefixRun = d == 1 && (agg == Agg.Sum || agg == Agg.Avg) && (ex == null || ex.nCover == 0)
+            if (prefixRun) assert(sumsFault(s, q, m).isEmpty, sumsFault(s, q, m).mkString)
+            else if (agg != Agg.Count)
               assert(doubleToLongBits(m.sum) == doubleToLongBits(s1) &&
                      doubleToLongBits(m.sumSq) == doubleToLongBits(s2), what)
             if (agg == Agg.Min || agg == Agg.Max)
@@ -178,6 +214,76 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
         }
       }
       if (excluded) assert(excludedRows > 0, "no probe excluded a row")
+    }
+  }
+
+  /** 600-row 1-D samples whose values defeat plain prefix sums: offset by
+    * 1e8 (Σ a² cancels its first 16 digits in a difference), U(0,1) with one
+    * 1e6 outlier (every later prefix of a² is 1e12), and lognormal(0,2).
+    */
+  private def adversarial(kind: String, seed: Long): LeafSample = {
+    val rnd = new scala.util.Random(seed)
+    val n   = 600
+    val cs  = Array.fill(n)(rnd.nextDouble() * 12 - 3)
+    val vs = kind match {
+      case "offset"    => Array.fill(n)(1e8 + rnd.nextDouble())
+      case "outlier"   => val v = Array.fill(n)(rnd.nextDouble()); v(rnd.nextInt(n)) = 1e6; v
+      case "lognormal" => Array.fill(n)(math.exp(2 * rnd.nextGaussian()))
+    }
+    LeafSample(Array(cs), vs)
+  }
+
+  for (kind <- Seq("offset", "outlier", "lognormal")) {
+    test(s"1-D SUM/AVG runs lie within 4ε·Σ|a| of the exact sums ($kind values)") {
+      for (seed <- 0L until 3L) {
+        val s   = adversarial(kind, seed)
+        val c   = s.columns(0)
+        val n   = s.size
+        val rnd = new scala.util.Random(seed + 100)
+        def at(i: Int) = if (i < n) c(i) else Double.PositiveInfinity
+        // every run of 1 to 16 rows, random runs and the probes' bounds
+        val runs = (for (len <- 1 to 16; i <- 0 to n - len) yield (i, i + len)) ++
+          Seq.fill(400) { val (a, b) = (rnd.nextInt(n + 1), rnd.nextInt(n + 1)); (math.min(a, b), math.max(a, b)) }
+        val qs = runs.map { case (i, j) => Rect.range(at(i), at(j)) } ++ Seq.fill(200)(probe(rnd, s, 1))
+        assert(s.hasPrefixSums)
+        for (q <- qs; agg <- Seq(Agg.Sum, Agg.Avg)) {
+          val m = Moments.scan(s, q, agg)
+          assert(m.kMatch == bruteForce(s, q).kMatch, s"$kind seed=$seed q=$q")
+          assert(sumsFault(s, q, m).isEmpty, s"$kind seed=$seed ${sumsFault(s, q, m).mkString}")
+        }
+      }
+    }
+  }
+
+  test("a sample whose sums overflow has no prefix sums and sums its runs row by row") {
+    val cs = Array.tabulate(40)(_.toDouble)
+    val vs = Array.tabulate(40)(i => if (i == 20) 1e200 else i + 0.5) // 1e200² overflows
+    val s  = LeafSample(Array(cs), vs)
+    assert(!s.hasPrefixSums)
+    for ((lo, hi) <- Seq((0.0, 20.0), (21.0, 40.0), (3.0, 17.0), (0.0, 40.0))) {
+      val q = Rect.range(lo, hi)
+      val m = Moments.scan(s, q, Agg.Sum)
+      val (k, s1, s2, _, _) = fullScan(s, q, null)
+      assert(m.kMatch == k && m.sum == s1 && m.sumSq == s2, s"q=$q: $m")
+    }
+  }
+
+  test("a Java-serialized sample stores no derived bytes and scans as the original") {
+    val rnd = new scala.util.Random(3)
+    for (d <- 1 to 3; n <- Seq(0, 1, 600)) {
+      val (cs, vs) = rows(rnd, n, d)
+      val s        = TestSynopses.sample(cs, vs, d)
+      val bytes    = new java.io.ByteArrayOutputStream()
+      val out      = new java.io.ObjectOutputStream(bytes)
+      out.writeObject(s); out.close()
+      assert(bytes.size <= s.storageBytes + 1024, s"d=$d n=$n: ${bytes.size} B for ${s.storageBytes} B")
+      val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+        .readObject().asInstanceOf[LeafSample]
+      assert(copy.hasPrefixSums)
+      for (_ <- 0 until 50; agg <- Agg.all) {
+        val q = probe(rnd, s, d)
+        assert(Moments.scan(copy, q, agg) == Moments.scan(s, q, agg), s"d=$d n=$n $agg q=$q")
+      }
     }
   }
 }

@@ -17,14 +17,14 @@ class MaxVarSpec extends AnyFunSuite {
   }
 
   test("brute max variance on a tiny hand example") {
-    val s = SortedSample1D.presorted(Array(0.0, 1.0, 2.0), Array(0.0, 0.0, 9.0))
+    val s = Presorted(Array(0.0, 1.0, 2.0), Array(0.0, 0.0, 9.0))
     // best SUM query is {9}: V = 81 − 81/3 = 54
     assert(math.abs(ExactDp.brute(s, Agg.Sum, 0, 3) - 54.0) < 1e-9)
   }
 
   test("countExact equals brute-force COUNT maximum") {
     for (n <- Seq(2, 3, 5, 8, 13, 40)) {
-      val s = SortedSample1D.presorted(Array.tabulate(n)(_.toDouble), Array.fill(n)(1.0))
+      val s = Presorted(Array.tabulate(n)(_.toDouble), Array.fill(n)(1.0))
       assert(math.abs(MaxVar.countExact(n) - ExactDp.brute(s, Agg.Count, 0, n)) < 1e-9,
              s"n=$n")
     }

@@ -53,9 +53,8 @@ class PassBuilderSpec extends SparkSpec {
 
   test("every stratified sample lies inside its leaf bounds") {
     val syn = buildAdp().synopsis
-    for (l <- syn.leaves; i <- 0 until syn.samples(l.leafId).size)
-      assert(l.bounds.contains(syn.samples(l.leafId).coords(i)),
-             s"sample outside leaf ${l.bounds}")
+    for (l <- syn.leaves; s = syn.samples(l.leafId); i <- 0 until s.size)
+      assert(l.bounds.containsFrom(s.columns, i, 0), s"sample outside leaf ${l.bounds}")
   }
 
   test("Rate allocation draws approximately rate * N_i per leaf") {
@@ -204,7 +203,7 @@ class PassBuilderSpec extends SparkSpec {
   }
 
   private def sortedByDim0(s: LeafSample): Boolean =
-    (1 until s.size).forall(i => java.lang.Double.compare(s.coords(i - 1)(0), s.coords(i)(0)) <= 0)
+    (1 until s.size).forall(i => java.lang.Double.compare(s.columns(0)(i - 1), s.columns(0)(i)) <= 0)
 
   test("every leaf sample is sorted by dimension 0 (Adp1D and KdGreedy)") {
     val adp = buildAdp().synopsis
@@ -270,7 +269,7 @@ class PassBuilderSpec extends SparkSpec {
       def bits(xs: Seq[Double]): Seq[Long] = xs.map(java.lang.Double.doubleToRawLongBits)
       syn.root.preorder.toSeq.flatMap { n =>
         bits((n.bounds.lo ++ n.bounds.hi).toSeq ++ Seq(n.sum, n.min, n.max)) ++ Seq(n.count, n.leafId.toLong)
-      } ++ syn.samples.toSeq.flatMap(s => bits((s.values ++ s.coords.flatten).toSeq) :+ s.size.toLong)
+      } ++ syn.samples.toSeq.flatMap(s => bits((s.values ++ s.columns.flatten).toSeq) :+ s.size.toLong)
     }
     for (alloc <- Seq(PassBuilder.Rate(0.05), PassBuilder.TotalBudget(600))) {
       def once() = PassBuilder.build(intel, Seq("time"), "light", PassBuilder.Adp1D(16, Agg.Sum), alloc,
@@ -311,7 +310,7 @@ class PassBuilderSpec extends SparkSpec {
       assert(r2.droppedRows == 7 && r2.synopsis.totalRows == 3000)
       assertLeavesExact(r2.synopsis, GroundTruth.collect(cleanDf, Seq("x", "y"), "v"), "2-D")
       for (s <- r2.synopsis.samples; i <- 0 until s.size)
-        assert(!s.coords(i).exists(_.isNaN) && !s.values(i).isNaN)
+        assert(!s.columns.exists(_(i).isNaN) && !s.values(i).isNaN)
     } finally rows.unpersist()
   }
 

@@ -139,7 +139,7 @@ class SynopsisSpec extends AnyFunSuite {
   test("AVG with no cover and no matching sampled row answers the frontier's exact average") {
     val (cs, as) = TestSynopses.genData(400, 3)
     val syn = TestSynopses.build1D(cs, as, Array(25.0, 50.0, 75.0), samplesPerLeaf = 1, seed = 4)
-    val sampled = syn.samples.flatMap(_.coords.map(_(0)))
+    val sampled = syn.samples.flatMap(_.columns(0))
     // a narrow query around a row of leaf [25, 50) that no sampled row is near
     val c = cs.find(x => x > 30 && x < 45 && sampled.forall(s => math.abs(s - x) > 0.5)).get
     val q = Rect.range(c - 0.1, c + 0.1)
@@ -154,7 +154,7 @@ class SynopsisSpec extends AnyFunSuite {
   test("MIN/MAX with no covered row and no matching sampled row is NaN, bounds kept") {
     val (cs, as) = TestSynopses.genData(400, 3)
     val syn = TestSynopses.build1D(cs, as, Array(25.0, 50.0, 75.0), samplesPerLeaf = 1, seed = 4)
-    val sampled = syn.samples.flatMap(_.coords.map(_(0)))
+    val sampled = syn.samples.flatMap(_.columns(0))
     val c    = cs.find(x => x > 30 && x < 45 && sampled.forall(s => math.abs(s - x) > 0.5)).get
     val leaf = syn.leaves(1) // [25, 50)
     // a narrow query inside that leaf, and one outside the data

@@ -39,7 +39,7 @@ object TestSynopses {
       val chosen =
         if (samplesPerLeaf <= 0 || samplesPerLeaf >= idx.length) idx
         else rnd.shuffle(idx.toSeq).take(samplesPerLeaf).toArray
-      LeafSample(chosen.map(i => Array(cs(i))), chosen.map(as))
+      LeafSample(Array(chosen.map(cs)), chosen.map(as))
     }.toArray
     new PassSynopsis(tree, samples, cs.length.toLong, zeroVarRule)
   }
@@ -72,10 +72,14 @@ object TestSynopses {
     val rnd          = new scala.util.Random(seed)
     val samples = rows.map { idx =>
       val chosen = rnd.shuffle(idx.toSeq).take(samplesPerLeaf).toArray
-      LeafSample(chosen.map(pts), chosen.map(vals))
+      sample(chosen.map(pts), chosen.map(vals), box.dims)
     }
     new PassSynopsis(tree, samples, pts.length.toLong, zeroVarRule)
   }
+
+  /** The sample of `rows`, each of `d` coordinates, and their `values`. */
+  def sample(rows: Array[Array[Double]], values: Array[Double], d: Int): LeafSample =
+    LeafSample(Array.tabulate(d)(j => rows.map(_(j))), values)
 
   /** Deterministic d-dimensional rows on an integer grid of side `side` (so
     * medians, splits and query edges coincide), whose values are constant

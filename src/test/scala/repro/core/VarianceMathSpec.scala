@@ -24,7 +24,7 @@ class VarianceMathSpec extends AnyFunSuite with PropSupport {
 
   test("presorted rejects unsorted input") {
     intercept[IllegalArgumentException] {
-      SortedSample1D.presorted(Array(2.0, 1.0), Array(0.0, 0.0))
+      Presorted(Array(2.0, 1.0), Array(0.0, 0.0))
     }
   }
 
@@ -49,26 +49,26 @@ class VarianceMathSpec extends AnyFunSuite with PropSupport {
       for (_ <- 0 until 25) {
         val c      = rnd.nextDouble() * 120 - 10
         val linear = s.cs.indexWhere(_ >= c) match { case -1 => s.n; case i => i }
-        assert(s.lowerBound(c) == linear)
+        assert(IndexSort.lowerBound(s.cs, c) == linear)
       }
     }
   }
 
   test("vSum matches the Sec 4.2.1 formula on a hand example") {
     // partition = 4 samples, query = first two values {1, 3}
-    val s = SortedSample1D.presorted(Array(0.0, 1.0, 2.0, 3.0), Array(1.0, 3.0, 5.0, 7.0))
+    val s = Presorted(Array(0.0, 1.0, 2.0, 3.0), Array(1.0, 3.0, 5.0, 7.0))
     // V = Σt² − (Σt)²/n_i = (1+9) − 16/4 = 6
     assert(math.abs(s.vSum(0, 2, 4) - 6.0) < 1e-12)
   }
 
   test("vAvg matches the Sec 4.2.1 formula on a hand example") {
-    val s = SortedSample1D.presorted(Array(0.0, 1.0, 2.0, 3.0), Array(1.0, 3.0, 5.0, 7.0))
+    val s = Presorted(Array(0.0, 1.0, 2.0, 3.0), Array(1.0, 3.0, 5.0, 7.0))
     // V = (nΣt² − (Σt)²)/(n·|q|²) = (4·10 − 16)/(4·4) = 1.5
     assert(math.abs(s.vAvg(0, 2, 4) - 1.5) < 1e-12)
   }
 
   test("vCount formula: cnt − cnt²/n") {
-    val s = SortedSample1D.presorted(Array.tabulate(10)(_.toDouble), Array.fill(10)(1.0))
+    val s = Presorted(Array.tabulate(10)(_.toDouble), Array.fill(10)(1.0))
     assert(math.abs(s.vCount(5, 10) - 2.5) < 1e-12)
     assert(s.vCount(0, 10) == 0.0)
     assert(s.vCount(10, 10) == 0.0)
@@ -76,7 +76,7 @@ class VarianceMathSpec extends AnyFunSuite with PropSupport {
 
   test("variances are non-negative for arbitrary data") {
     checkProp(Prop.forAll(Gen.listOfN(30, Gen.chooseNum(-50.0, 50.0))) { vals =>
-      val s = SortedSample1D.presorted(Array.tabulate(vals.length)(_.toDouble), vals.toArray)
+      val s = Presorted(Array.tabulate(vals.length)(_.toDouble), vals.toArray)
       (0 until vals.length).forall { i =>
         (i + 1 to vals.length).forall { j =>
           s.vSum(i, j, vals.length) >= 0 && s.vAvg(i, j, vals.length) >= 0
