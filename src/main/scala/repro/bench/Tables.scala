@@ -127,7 +127,7 @@ object Tables {
       }
       f"${r.approach}%-12s ${f"${r.buildS}%.2fs ($pCost%.2fs)"}%-16s " + cells.map(s => f"$s%-22s").mkString
     }
-    val text = ("Table 1 — median relative error, measured (paper)\n" + header + "\n" +
+    val text = ("Table 1 - median relative error, measured (paper)\n" + header + "\n" +
       lines.mkString("\n"))
     bs.foreach(_.df.unpersist())
     (rows, text)
@@ -194,7 +194,7 @@ object Tables {
         f"${f"${r.storageMB}%.2fMB ($pStor%.1fMB)"}%-18s ${f"${r.buildS}%.1fs ($pCost%.0fs)"}%-16s " +
         cells.map(s => f"$s%-20s").mkString
     }
-    val text = ("Table 2 — end-to-end comparison, measured (paper);\n" +
+    val text = ("Table 2 - end-to-end comparison, measured (paper);\n" +
       "latency measured in us, the paper's in ms\n" + header + "\n" +
       lines.mkString("\n"))
     bs.foreach(_.df.unpersist())
@@ -227,7 +227,7 @@ object Tables {
       f"${r.approach}%-5s ${f"${r.buildS}%.1fs ($pc%.0fs)"}%-18s ${f"${r.latencyMs * 1000}%.2fus ($pl%.1fms)"}%-22s " +
         f"${f"${r.maxLatencyMs * 1000}%.1fus ($pml%.1fms)"}%-22s ${f"${r.re((Agg.Sum, b.name)) * 100}%.3f%% ($pre%.2f%%)"}%-20s"
     }
-    val text = ("Table 3 — preprocessing cost / latency / accuracy vs k, measured (paper);\n" +
+    val text = ("Table 3 - preprocessing cost / latency / accuracy vs k, measured (paper);\n" +
       "latency measured in us, the paper's in ms\n" +
       header + "\n" + lines.mkString("\n"))
     b.df.unpersist()

@@ -177,7 +177,7 @@ final class PassSynopsis(
     val nPart  = f.nPartial
     val nFront = nPart + f.nZeroVar
     var i      = 0
-    // `while`: a closure capturing `est` would heap-allocate it and every Moments
+    // `while`: a closure would heap-allocate itself and a box per captured var
     while (i < nFront) {
       val n = if (i < nPart) f.partialIx(i) else f.zeroVarIx(i - nPart)
       fCnt += t.count(n); fSum += t.sum(n)

@@ -7,7 +7,8 @@ import repro.bench.GroundTruth
 
 /** The sorted columnar leaf sample and its one scan (`Moments.scan`): the
   * dim-0 run scan against a brute-force scan of the same rows, NaN
-  * coordinates, excluded rectangles, the fields each aggregate reads, the
+  * coordinates, excluded rectangles, the fields each aggregate reads, runs
+  * whose search is skipped (a bound at or beyond the sample's ends), the
   * prefix sums of 1-D SUM/AVG runs against exact sums, and the sample's
   * serialized size.
   */
@@ -147,6 +148,71 @@ class LeafScanSpec extends AnyFunSuite with PropSupport {
       }
     }
     (k, s1, s2, mn, mx)
+  }
+
+  /** Why the scan of `s` over `q` for `agg` differs from the row-order
+    * oracle in a field `agg` reads, if it does: `ki` and `kMatch` always,
+    * the extrema for MIN/MAX, and Σ a and Σ a² bit for bit for all but COUNT.
+    * A 1-D SUM/AVG run with nothing excluded may instead read the prefix
+    * sums; its sums must then be bit for bit those of the oracle's run.
+    */
+  private def oracleFault(s: LeafSample, q: Rect, agg: Agg, ex: Frontier): Option[String] = {
+    import java.lang.Double.doubleToLongBits
+    def same(a: Double, b: Double) = doubleToLongBits(a) == doubleToLongBits(b)
+    val m                   = Moments.scan(s, q, agg, ex)
+    val (k, s1, s2, mn, mx) = fullScan(s, q, ex)
+    // with nothing to check, the rows in q are the one run [first, first + k)
+    def prefixRun = {
+      val first = (0 until s.size).find(i => q.contains(row(s, i))).getOrElse(0)
+      s.dims == 1 && ex == null && s.hasPrefixSums && (agg == Agg.Sum || agg == Agg.Avg) &&
+      same(m.sum, s.runSum(first, first + k)) && same(m.sumSq, s.runSumSq(first, first + k))
+    }
+    val sumsOk    = agg == Agg.Count || (same(m.sum, s1) && same(m.sumSq, s2)) || prefixRun
+    val extremaOk = (agg != Agg.Min && agg != Agg.Max) || (same(m.min, mn) && same(m.max, mx))
+    if (m.ki == s.size && m.kMatch == k && sumsOk && extremaOk) None
+    else Some(s"n=${s.size} $agg q=$q: $m vs ($k, $s1, $s2, $mn, $mx)")
+  }
+
+  /** Covered nodes of a fixed 16-leaf kd tree over [-3, 9)^d: those below a
+    * dimension-0 cut at 3.
+    */
+  private def exclusion(d: Int): Frontier = {
+    val (cs, vs)  = rows(new scala.util.Random(70 + d), 200, d)
+    val box       = Rect(Array.fill(d)(-3.0), Array.fill(d)(9.0))
+    val (tree, _) = TestSynopses.populate(KdTree.buildBalanced(cs, vs, k = 16, box), cs, vs)
+    val inf       = Double.PositiveInfinity
+    PartitionTree.mcf(tree.root, Rect(Array.fill(d)(-inf), Array.tabulate(d)(j => if (j == 0) 3.0 else inf)))
+  }
+
+  for (d <- Seq(1, 2); excluded <- Seq(false, true)) {
+    test(s"runs bounded at or beyond the first or last key, NaN bounds, 0 and 1 rows: every aggregate as the row-order oracle (d=$d exclusion=$excluded)") {
+      val inf = Double.PositiveInfinity
+      val ex  = if (excluded) exclusion(d) else null
+      if (excluded) assert(ex.nCover > 0)
+      val rnd = new scala.util.Random(100 + d * 10 + (if (excluded) 1 else 0))
+      val samples = Seq(0, 1, 2, 150, 150).zipWithIndex.map { case (n, i) =>
+        val (cs, vs) = rows(rnd, n, d)
+        if (i == 4) for (r <- 0 until n by 7) cs(r)(0) = Double.NaN // a NaN tail in dimension 0
+        TestSynopses.sample(cs, vs, d)
+      }
+      // dimensions 1 .. d-1: a range and everything
+      val rest = if (d == 1) Seq((Array.empty[Double], Array.empty[Double]))
+                 else Seq((Array(-1.0), Array(6.0)), (Array(-inf), Array(inf)))
+      for (s <- samples) {
+        val keys          = s.columns(0).filterNot(_.isNaN)
+        val (first, last) = if (keys.isEmpty) (0.0, 0.0) else (keys.head, keys.last)
+        val mid           = if (keys.isEmpty) 1.0 else keys(keys.length / 2)
+        val los = Seq(first, Math.nextDown(first), first - 0.5, -inf, Double.NaN, mid)
+        val his = Seq(last, Math.nextUp(last), last + 0.5, inf, Double.NaN, mid)
+        for (lo <- los; hi <- his; (lo1, hi1) <- rest; agg <- Agg.all) {
+          val fault = oracleFault(s, Rect(lo +: lo1, hi +: hi1), agg, ex)
+          assert(fault.isEmpty, fault.mkString)
+        }
+        // a range ending at the last key leaves that key's rows out
+        val upToLast = Rect(Array.fill(d)(-inf), Array.tabulate(d)(j => if (j == 0) last else inf))
+        if (ex == null) assert(Moments.scan(s, upToLast, Agg.Count).kMatch == keys.count(_ < last), s"n=${s.size}")
+      }
+    }
   }
 
   private val Eps = Math.ulp(1.0)

@@ -41,17 +41,6 @@ class VarianceMathSpec extends AnyFunSuite with PropSupport {
         assert(math.abs(s.s2(i, j) - direct2) < 1e-9)
       }
     }
-
-    test(s"lowerBound agrees with linear search (seed=$seed)") {
-      val (cs, as) = randData(40, seed)
-      val s        = SortedSample1D(cs, as)
-      val rnd      = new scala.util.Random(seed + 200)
-      for (_ <- 0 until 25) {
-        val c      = rnd.nextDouble() * 120 - 10
-        val linear = s.cs.indexWhere(_ >= c) match { case -1 => s.n; case i => i }
-        assert(IndexSort.lowerBound(s.cs, c) == linear)
-      }
-    }
   }
 
   test("vSum matches the Sec 4.2.1 formula on a hand example") {
